@@ -21,7 +21,6 @@ from .cluster import (
 from .harness import SweepSpec, TrialRecord, TrialSpec, run_sweep, run_trial, trial_seed
 from .hyptest import TestOutcome, higher_criticism_test, simple_agg_test, sparse_agg_test
 from .metrics import (
-    LossReport,
     cos_angle,
     empirical_test_error,
     hamming_clustering,

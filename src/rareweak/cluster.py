@@ -200,13 +200,13 @@ def sparse_aggregation_greedy(
     )
 
 
-def classical_pca(X: np.ndarray, tol: float = 1e-8, max_iter: int = 2000) -> ClusterResult:
+def classical_pca(X: np.ndarray) -> ClusterResult:
     """Sign of the top left singular vector of the full matrix."""
-    pair = leading_left_singular(X, tol=tol, max_iter=max_iter)
+    pair = leading_left_singular(X)
     return ClusterResult(labels=_sgn(pair.vector), method="classical_pca", singular=pair)
 
 
-def if_pca(X: np.ndarray, q: float, tol: float = 1e-8, max_iter: int = 2000) -> ClusterResult:
+def if_pca(X: np.ndarray, q: float) -> ClusterResult:
     """Chi-square screen, then PCA clustering on the surviving columns.
 
     An empty screen falls back to classical PCA with fallback_used set.
@@ -214,7 +214,7 @@ def if_pca(X: np.ndarray, q: float, tol: float = 1e-8, max_iter: int = 2000) -> 
     n, p = X.shape
     res = select_features(chi2_scores(X), p, q)
     if res.selected.size == 0:
-        fallback = classical_pca(X, tol=tol, max_iter=max_iter)
+        fallback = classical_pca(X)
         return ClusterResult(
             labels=fallback.labels,
             method="if_pca",
@@ -222,7 +222,7 @@ def if_pca(X: np.ndarray, q: float, tol: float = 1e-8, max_iter: int = 2000) -> 
             singular=fallback.singular,
             fallback_used=True,
         )
-    pair = leading_left_singular(X[:, res.selected], tol=tol, max_iter=max_iter)
+    pair = leading_left_singular(X[:, res.selected])
     return ClusterResult(
         labels=_sgn(pair.vector),
         method="if_pca",

@@ -123,7 +123,7 @@ def _errors_against_labels(pred: np.ndarray, class_labels: np.ndarray) -> int:
 def _cluster_selection(Xstar: np.ndarray, selected: np.ndarray, class_labels: np.ndarray):
     fallback = selected.size == 0
     sub = Xstar if fallback else Xstar[:, selected]
-    xi = leading_left_singular(sub, tol=1e-10, max_iter=10_000).vector
+    xi = leading_left_singular(sub).vector
     pred = kmeans_1d_two(xi)
     return _errors_against_labels(pred, class_labels), fallback, xi
 

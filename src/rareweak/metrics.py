@@ -10,12 +10,10 @@ with a flag to switch to the realized count for sensitivity checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LossReport",
     "hamming_clustering",
     "hamming_recovery",
     "hamming_recovery_signed",
@@ -23,14 +21,6 @@ __all__ = [
     "empirical_test_error",
     "wilson_interval",
 ]
-
-
-@dataclass
-class LossReport:
-    clustering_hamming: float | None = None
-    recovery_hamming: float | None = None
-    cosine: float | None = None
-    test_error_components: tuple[float, float] | None = None
 
 
 def hamming_clustering(est: np.ndarray, truth: np.ndarray) -> float:

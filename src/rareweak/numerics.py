@@ -87,7 +87,7 @@ def chisq_sf(x: float, dof: int) -> float:
 
     Relative error is below 1e-10 for x up to dof + 40*sqrt(dof).
 
-    Raises ValueError for x < 0 or dof < 1.
+    Raises ValueError for x < 0, NaN x or dof < 1.
     """
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
@@ -106,11 +106,14 @@ def chisq_sf_vec(x, dof: int) -> np.ndarray:
     Runs the series branch and the continued-fraction branch as masked
     array iterations, so a whole column of scores is one pass of numpy
     work instead of p scalar calls.
+
+    Raises ValueError like ``chisq_sf``: for any x that is negative or
+    NaN, or for dof < 1.
     """
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("x must be nonnegative")
     a = 0.5 * dof
     hx = 0.5 * x.ravel()

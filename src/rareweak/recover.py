@@ -62,9 +62,9 @@ def recover_sa_star(X: np.ndarray) -> RecoveryResult:
     return _threshold_weighted_means(X, labels, "sa_star")
 
 
-def recover_if_star(X: np.ndarray, tol: float = 1e-8, max_iter: int = 2000) -> RecoveryResult:
+def recover_if_star(X: np.ndarray) -> RecoveryResult:
     """Same thresholding rule, with labels from classical PCA."""
-    labels = classical_pca(X, tol=tol, max_iter=max_iter).labels
+    labels = classical_pca(X).labels
     return _threshold_weighted_means(X, labels, "if_star")
 
 
@@ -100,14 +100,14 @@ def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
     return RecoveryResult(support=res.selected, method="if_q")
 
 
-def recover_signed_pca(X: np.ndarray, tol: float = 1e-8, max_iter: int = 2000) -> RecoveryResult:
+def recover_signed_pca(X: np.ndarray) -> RecoveryResult:
     """Signed support estimate from PCA labels.
 
     y = X' labels / sqrt(n), so noise coordinates are unit scale;
     feature j enters with sign sgn(y_j) whenever |y_j| > 2 sqrt(log p).
     """
     n, p = X.shape
-    labels = classical_pca(X, tol=tol, max_iter=max_iter).labels
+    labels = classical_pca(X).labels
     y = X.T @ labels / math.sqrt(n)
     cut = 2.0 * math.sqrt(math.log(p))
     keep = np.abs(y) > cut

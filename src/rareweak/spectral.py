@@ -3,8 +3,9 @@
 The screen keeps the columns whose standardized squared norm
 Q(j) = (||x_j||^2 - n) / sqrt(2n) clears sqrt(2 q log p). The cluster
 direction is then read off the top left singular vector of the
-surviving submatrix, computed by power iteration on the small n-by-n
-Gram matrix (n << p makes the Gram product the dominant cost).
+surviving submatrix, computed by a dense symmetric eigendecomposition
+of the small n-by-n Gram matrix (n << p makes the Gram product the
+dominant cost).
 
 Closed-form predictions for the screen are also provided: survival
 probabilities of null and signal columns, the expected selected count,
@@ -50,10 +51,10 @@ class ScreenResult:
 
 @dataclass
 class SingularPair:
-    vector: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
+    vector: np.ndarray  # unit top left singular vector
+    value: float  # top singular value
+    iterations: int  # always 0: the eigensolver is direct, not iterative
+    converged: bool  # top eigenvalue strictly above the second (vector unique up to sign)
 
 
 @dataclass
@@ -81,8 +82,12 @@ def screen_threshold(p: int, q: float) -> float:
 def select_features(scores: np.ndarray, p: int, q: float) -> ScreenResult:
     """Indices with score >= sqrt(2 q log p); equality is kept.
 
-    An empty selection is a legal result and is returned as such.
+    An empty selection is a legal result and is returned as such. A NaN
+    or infinite score (from a non-finite column) raises ValueError rather
+    than being silently dropped or kept.
     """
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite (X has a NaN or inf)")
     thr = screen_threshold(p, q)
     return ScreenResult(
         scores=scores,
@@ -92,58 +97,33 @@ def select_features(scores: np.ndarray, p: int, q: float) -> ScreenResult:
     )
 
 
-_START_SEED = 0x5EEDCA7  # fixed internal seed: deterministic start vector
+def leading_left_singular(M: np.ndarray) -> SingularPair:
+    """Top left singular vector of M from one eigendecomposition of M @ M.T.
 
-
-def leading_left_singular(M: np.ndarray, tol: float = 1e-8, max_iter: int = 2000) -> SingularPair:
-    """Top left singular vector of M by power iteration on M @ M.T.
-
-    Stops when the Rayleigh quotient is stable to ``tol`` relatively and
-    the iterate moves by less than ``tol`` in norm. On a flat leading
-    spectrum (two equal top singular values) convergence may never
-    trigger; the best iterate is then returned with converged=False.
+    The n-by-n Gram matrix is small (n << p), so a dense symmetric
+    eigensolver gives the exact leading pair. ``converged`` is False when
+    the top two eigenvalues tie: the vector is then one valid unit vector
+    of the top eigenspace rather than unique up to sign.
 
     Sign convention: the first nonzero coordinate is made positive.
+
+    Raises ValueError for a zero, empty, non-2-d or non-finite M.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0 or not np.any(M):
         raise ValueError("M must be a nonzero 2-d matrix")
-    n = M.shape[0]
-    G = M @ M.T
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = float(v @ G @ v)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = G @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v landed in the kernel; restart deterministically
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            lam_prev = float(v @ G @ v)
-            continue
-        w /= norm_w
-        lam = float(w @ G @ w)
-        drift = np.linalg.norm(w - v if w @ v >= 0 else w + v)
-        v = w
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300) and drift <= tol:
-            converged = True
-            lam_prev = lam
-            break
-        lam_prev = lam
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
+    evals, evecs = np.linalg.eigh(M @ M.T)
+    v = evecs[:, -1]
     nz = np.flatnonzero(v)
     if nz.size and v[nz[0]] < 0:
         v = -v
     return SingularPair(
         vector=v,
-        value=math.sqrt(max(lam_prev, 0.0)),
-        iterations=it,
-        converged=converged,
+        value=math.sqrt(max(evals[-1], 0.0)),
+        iterations=0,
+        converged=evals.size == 1 or bool(evals[-1] > evals[-2]),
     )
 
 

@@ -152,6 +152,12 @@ class TestClassicalPca:
             cosines.append(cos_angle(res.singular.vector, fixed))
         assert float(np.median(cosines)) < 3.0 / math.sqrt(n)
 
+    def test_rejects_nan(self):
+        X = np.random.default_rng(70).standard_normal((20, 60))
+        X[4, 7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            classical_pca(X)
+
     @pytest.mark.slow
     def test_moderate_sparsity_monte_carlo(self):
         # beta between (1-theta)/2 and 1/2, alpha well below the tractable curve
@@ -187,6 +193,15 @@ class TestIfPca:
         assert res.fallback_used
         assert res.selected.size == 0
         np.testing.assert_array_equal(res.labels, classical_pca(X).labels)
+
+    @pytest.mark.parametrize("q", [0.1, 50.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad, q):
+        # q=0.1 screens the bad column in or out; q=50 empties the screen
+        X = np.random.default_rng(71).standard_normal((20, 60))
+        X[4, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            if_pca(X, q=q)
 
     @pytest.mark.slow
     def test_cosine_transition_monte_carlo(self):

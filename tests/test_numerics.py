@@ -89,6 +89,10 @@ class TestChisqSf:
             chisq_sf(-0.1, 3)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0)
+        with pytest.raises(ValueError):
+            chisq_sf(math.nan, 3)
+        with pytest.raises(ValueError):
+            chisq_sf_vec(np.array([1.0, math.nan]), 3)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)

@@ -93,7 +93,7 @@ class TestLeadingLeftSingular:
         ell = rng.integers(0, 2, 30) * 2 - 1
         v = rng.standard_normal(120)
         M = np.outer(ell, v)
-        pair = leading_left_singular(M, tol=1e-12)
+        pair = leading_left_singular(M)
         assert angle_gap(pair.vector, ell) <= 1e-10
         assert pair.value == pytest.approx(np.linalg.norm(ell) * np.linalg.norm(v), rel=1e-10)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-10
@@ -101,15 +101,30 @@ class TestLeadingLeftSingular:
     def test_degenerate_top_pair(self):
         # flat leading spectrum: any unit combination of the top pair is valid
         M = np.diag([2.0, 2.0, 1.0])
-        pair = leading_left_singular(M, tol=1e-10, max_iter=500)
+        pair = leading_left_singular(M)
         assert pair.value == pytest.approx(2.0, rel=1e-8)
         assert np.linalg.norm(M.T @ pair.vector) == pytest.approx(2.0, rel=1e-8)
+        assert not pair.converged
+
+    def test_near_degenerate_top_pair(self):
+        # top two singular values 1e-4 apart relatively: the gap is real, so
+        # the vector is unique up to sign and must match the dense SVD
+        rng = np.random.default_rng(53)
+        U = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        V = np.linalg.qr(rng.standard_normal((80, 30)))[0]
+        s = np.concatenate([[1.0, 1.0 - 1e-4], np.linspace(0.5, 0.1, 28)])
+        M = (U * s) @ V.T
+        pair = leading_left_singular(M)
+        u = np.linalg.svd(M, full_matrices=False)[0][:, 0]
+        assert pair.converged
+        assert angle_gap(pair.vector, u) <= 1e-8
+        assert pair.value == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(51)
         for _ in range(10):
             M = rng.standard_normal((50, 200))
-            pair = leading_left_singular(M, tol=1e-12, max_iter=20_000)
+            pair = leading_left_singular(M)
             u = np.linalg.svd(M, full_matrices=False)[0][:, 0]
             assert pair.converged
             assert angle_gap(pair.vector, u) <= 1e-8
@@ -118,8 +133,8 @@ class TestLeadingLeftSingular:
         rng = np.random.default_rng(52)
         M = rng.standard_normal((20, 80))
         perm = rng.permutation(80)
-        a = leading_left_singular(M, tol=1e-12).vector
-        b = leading_left_singular(M[:, perm], tol=1e-12).vector
+        a = leading_left_singular(M).vector
+        b = leading_left_singular(M[:, perm]).vector
         assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-8
 
     def test_sign_convention(self):
@@ -130,6 +145,13 @@ class TestLeadingLeftSingular:
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError):
             leading_left_singular(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        M = np.ones((3, 4))
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="M must be finite"):
+            leading_left_singular(M)
 
 
 class TestQStar:

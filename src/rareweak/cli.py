@@ -23,6 +23,7 @@ import numpy as np
 
 from .harness import (
     METHOD_PRESETS,
+    METHODS,
     SweepSpec,
     TrialSpec,
     canonical_json,
@@ -54,7 +55,7 @@ def _add_simulate(sub):
     p.add_argument(
         "--methods",
         default="simple_agg,classical_pca",
-        help="comma-separated method names, or preset:cluster-then-recover / preset:recover-then-cluster",
+        help=f"comma-separated method names ({', '.join(METHODS)}) or preset:{' / preset:'.join(METHOD_PRESETS)}",
     )
     p.add_argument("--out", type=Path)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -106,14 +107,11 @@ def _spec_from_flags(ns) -> TrialSpec:
         names = list(METHOD_PRESETS[preset])
     else:
         names = [name.strip() for name in ns.methods.split(",") if name.strip()]
+    flags = {key: value for key, value in (("q", ns.q), ("N", ns.N)) if value is not None}
     methods = {}
     for name in names:
-        opts = {}
-        if ns.q is not None and (name.endswith("if_q") or name == "if_pca"):
-            opts["q"] = ns.q
-        if ns.N is not None and ("sparse" in name or name == "recover_sa_n"):
-            opts["N"] = ns.N
-        methods[name] = opts
+        accepted = METHODS[name].options if name in METHODS else ()
+        methods[name] = {key: value for key, value in flags.items() if key in accepted}
     return TrialSpec(params=params, methods=methods, seed=ns.seed)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "signed_sparse_aggregation",
     "kmeans_1d_two",
     "default_sparsity",
+    "enum_configs",
 ]
 
 DEFAULT_ENUM_BUDGET = 2_000_000
@@ -65,14 +66,27 @@ def _sgn(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1, -1).astype(np.int64)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Reject X through ``values``, X itself or a reduction of it that any NaN or inf entry reaches."""
+    if not np.isfinite(values).all():
+        raise ValueError("X must be finite")
+
+
 def default_sparsity(expected_signals: float) -> int:
     """Ceiling of the expected signal count; the canonical choice of N."""
     return max(1, math.ceil(expected_signals))
 
 
+def enum_configs(p: int, N: int, signed: bool = False) -> int:
+    """Budget charge of an exact N-of-p search: C(p, N), times 2^N when signed."""
+    return math.comb(p, N) * (2**N if signed else 1)
+
+
 def simple_aggregation(X: np.ndarray) -> ClusterResult:
     """Sign of the row sums of X."""
-    return ClusterResult(labels=_sgn(np.sum(X, axis=1)), method="simple_agg")
+    sums = np.sum(X, axis=1)
+    _require_finite(sums)
+    return ClusterResult(labels=_sgn(sums), method="simple_agg")
 
 
 def _check_enum_budget(n_configs: int, budget: int, solver_hint: str) -> None:
@@ -94,7 +108,8 @@ def sparse_aggregation_exact(
     n, p = X.shape
     if not 1 <= N <= p:
         raise ValueError(f"N must lie in [1, {p}], got {N}")
-    _check_enum_budget(math.comb(p, N), budget, "sparse_aggregation_greedy")
+    _check_enum_budget(enum_configs(p, N), budget, "sparse_aggregation_greedy")
+    _require_finite(X)
     best_obj = -math.inf
     best_set = None
     combos = itertools.combinations(range(p), N)
@@ -132,6 +147,7 @@ def _greedy_forward(X: np.ndarray, N: int, first: int | None) -> tuple[list[int]
         running = running + X[:, first]
     while len(selected) < N:
         cand = np.abs(running[:, None] + X).sum(axis=0)
+        _require_finite(cand)
         cand[selected] = -np.inf
         j = int(np.argmax(cand))
         selected.append(j)
@@ -252,8 +268,9 @@ def signed_sparse_aggregation(
     if greedy:
         return _signed_greedy(X, N, restarts, seed, max_sweeps)
     _check_enum_budget(
-        (2**N) * math.comb(p, N), budget, "signed_sparse_aggregation(greedy=True)"
+        enum_configs(p, N, signed=True), budget, "signed_sparse_aggregation(greedy=True)"
     )
+    _require_finite(X)
     best_obj = -math.inf
     best_support = None
     best_signs = None
@@ -295,6 +312,7 @@ def _signed_greedy(X, N, restarts, seed, max_sweeps):
         while int(np.count_nonzero(w)) < N:
             plus = np.abs(running[:, None] + X).sum(axis=0)
             minus = np.abs(running[:, None] - X).sum(axis=0)
+            _require_finite(plus)
             plus[w != 0] = -np.inf
             minus[w != 0] = -np.inf
             jp, jm = int(np.argmax(plus)), int(np.argmax(minus))

@@ -20,8 +20,9 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +45,6 @@ __all__ = [
     "save_sweep",
     "sweep_csv_rows",
 ]
-
-CLUSTER_METHODS = (
-    "simple_agg",
-    "sparse_agg_exact",
-    "sparse_agg_greedy",
-    "classical_pca",
-    "if_pca",
-    "signed_sparse_agg",
-)
-RECOVERY_METHODS = ("recover_sa_star", "recover_if_star", "recover_sa_n", "recover_if_q", "recover_signed_pca")
-TEST_METHODS = ("agg_chi2", "sparse_agg_l1", "higher_criticism")
 
 # Preset bundles for the two natural pipeline orders: estimate labels first
 # and read the support off the label-weighted means (works in the denser
@@ -86,10 +76,13 @@ class TrialSpec:
     def __post_init__(self):
         if not self.methods:
             raise ValueError("at least one method is required")
-        known = set(CLUSTER_METHODS) | set(RECOVERY_METHODS) | set(TEST_METHODS)
-        unknown = set(self.methods) - known
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {sorted(unknown)}; available: {sorted(METHODS)}")
+        for name, opts in self.methods.items():
+            bad = sorted(set(opts or {}) - METHODS[name].options)
+            if bad:
+                raise ValueError(f"method {name!r} does not accept {bad}; it accepts {sorted(METHODS[name].options)}")
 
     def to_dict(self) -> dict:
         noise = {"kind": self.noise.kind}
@@ -135,15 +128,7 @@ class TrialRecord:
     spec: dict
 
     def to_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "seed": self.seed,
-            "clustering": self.clustering,
-            "recovery": self.recovery,
-            "tests": self.tests,
-            "wall_time": self.wall_time,
-            "spec": self.spec,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
@@ -158,60 +143,124 @@ class TrialRecord:
         )
 
 
-def _default_N(opts: dict, params: ArwParams) -> int:
-    return int(opts.get("N") or cluster.default_sparsity(params.expected_signals))
+@dataclass(frozen=True)
+class MethodArgs:
+    """What a method-table entry reads: its spec options, the calibration
+    and the seed. A missing or None option takes its default."""
+
+    opts: dict
+    params: ArwParams
+    seed: int
+
+    def _get(self, key: str, default):
+        value = self.opts.get(key)
+        return default if value is None else value
+
+    @property
+    def N(self) -> int:
+        return int(self._get("N", cluster.default_sparsity(self.params.expected_signals)))
+
+    @property
+    def q(self) -> float:
+        pr = self.params
+        if self.opts.get("q") is None and pr.r is not None and 0.5 < pr.beta < 1 - pr.theta / 2:
+            return q_star(pr.theta, pr.beta, pr.r)
+        return float(self._get("q", 3.0))
+
+    @property
+    def budget(self) -> int:
+        return int(self._get("budget", cluster.DEFAULT_ENUM_BUDGET))
+
+    @property
+    def restarts(self) -> int:
+        return int(self._get("restarts", 8))
+
+    def greedy(self, signed: bool = False) -> bool:
+        """The one exact-or-greedy rule of the N-column aggregation searches:
+        the ``greedy`` option if set, else whether exhaustive enumeration
+        would exceed the budget."""
+        if self.opts.get("greedy") is not None:
+            return bool(self.opts["greedy"])
+        return cluster.enum_configs(self.params.p, self.N, signed) > self.budget
 
 
-def _default_q(opts: dict, params: ArwParams) -> float:
-    q = opts.get("q")
-    if q is not None:
-        return float(q)
-    if params.r is not None and 0.5 < params.beta < 1 - params.theta / 2:
-        return q_star(params.theta, params.beta, params.r)
-    return 3.0
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table. ``run(X, args)`` returns a ClusterResult,
+    RecoveryResult or TestOutcome; ``group`` names the record field it lands in."""
+
+    group: str
+    options: frozenset
+    run: Callable
 
 
-def _signed_auto_greedy(opts: dict, params: ArwParams, N: int) -> bool:
-    if "greedy" in opts:
-        return bool(opts["greedy"])
-    budget = int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET))
-    return (2**min(N, 64)) * math.comb(params.p, N) > budget
+_SEARCH_OPTIONS = frozenset({"N", "budget", "greedy", "restarts"})
+
+# Entries call the library through its module attributes, so a function
+# patched on its module (by a tracer, say) is the one that runs.
+METHODS = {
+    "simple_agg": Method("clustering", frozenset(), lambda X, a: cluster.simple_aggregation(X)),
+    "sparse_agg_exact": Method(
+        "clustering", frozenset({"N", "budget"}), lambda X, a: cluster.sparse_aggregation_exact(X, a.N, budget=a.budget)
+    ),
+    "sparse_agg_greedy": Method(
+        "clustering",
+        frozenset({"N", "restarts"}),
+        lambda X, a: cluster.sparse_aggregation_greedy(X, a.N, restarts=a.restarts, seed=a.seed),
+    ),
+    "classical_pca": Method("clustering", frozenset(), lambda X, a: cluster.classical_pca(X)),
+    "if_pca": Method("clustering", frozenset({"q"}), lambda X, a: cluster.if_pca(X, q=a.q)),
+    "signed_sparse_agg": Method(
+        "clustering",
+        _SEARCH_OPTIONS,
+        lambda X, a: cluster.signed_sparse_aggregation(
+            X, a.N, budget=a.budget, greedy=a.greedy(signed=True), restarts=a.restarts, seed=a.seed
+        ),
+    ),
+    "recover_sa_star": Method("recovery", frozenset(), lambda X, a: recover.recover_sa_star(X)),
+    "recover_if_star": Method("recovery", frozenset(), lambda X, a: recover.recover_if_star(X)),
+    "recover_sa_n": Method(
+        "recovery",
+        _SEARCH_OPTIONS,
+        lambda X, a: recover.recover_sa_N(
+            X, a.N, method="greedy" if a.greedy() else "exact", budget=a.budget, restarts=a.restarts, seed=a.seed
+        ),
+    ),
+    "recover_if_q": Method("recovery", frozenset({"q"}), lambda X, a: recover.recover_if_q(X, q=a.q)),
+    "recover_signed_pca": Method("recovery", frozenset(), lambda X, a: recover.recover_signed_pca(X)),
+    "agg_chi2": Method("tests", frozenset(), lambda X, a: hyptest.simple_agg_test(X)),
+    "sparse_agg_l1": Method(
+        "tests",
+        _SEARCH_OPTIONS,
+        lambda X, a: hyptest.sparse_agg_test(
+            X, a.N, greedy=a.greedy(), budget=a.budget, restarts=a.restarts, seed=a.seed
+        ),
+    ),
+    "higher_criticism": Method("tests", frozenset(), lambda X, a: hyptest.higher_criticism_test(X)),
+}
 
 
-def _run_cluster_method(name: str, opts: dict, ds: Dataset, params: ArwParams, seed: int):
+def _entry(res, ds: Dataset, params: ArwParams) -> dict:
+    """The trial-record entry of one method's result."""
+    if isinstance(res, hyptest.TestOutcome):
+        return {"statistic": res.statistic, "threshold": res.threshold, "reject": bool(res.reject)}
+    if isinstance(res, recover.RecoveryResult):
+        entry = {
+            "hamming": hamming_recovery(res.support, ds.support, params.expected_signals),
+            "support_size": int(res.support.size),
+        }
+        if res.signs is not None:
+            entry["signed_hamming"] = hamming_recovery_signed(res.signs, ds.mu, params.expected_signals)
+        return entry
     X = ds.X
-    if name == "simple_agg":
-        res = cluster.simple_aggregation(X)
-        score = X.sum(axis=1)
-    elif name == "sparse_agg_exact":
-        res = cluster.sparse_aggregation_exact(
-            X, _default_N(opts, params), budget=int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET))
-        )
-        score = X[:, res.selected].sum(axis=1)
-    elif name == "sparse_agg_greedy":
-        res = cluster.sparse_aggregation_greedy(
-            X, _default_N(opts, params), restarts=int(opts.get("restarts", 8)), seed=seed
-        )
-        score = X[:, res.selected].sum(axis=1)
-    elif name == "classical_pca":
-        res = cluster.classical_pca(X)
+    if res.singular is not None:
         score = res.singular.vector
-    elif name == "if_pca":
-        res = cluster.if_pca(X, q=_default_q(opts, params))
-        score = res.singular.vector
-    elif name == "signed_sparse_agg":
-        N = _default_N(opts, params)
-        res = cluster.signed_sparse_aggregation(
-            X,
-            N,
-            budget=int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET)),
-            greedy=_signed_auto_greedy(opts, params, N),
-            restarts=int(opts.get("restarts", 8)),
-            seed=seed,
-        )
+    elif res.mu_hat is not None:
         score = X @ res.mu_hat
-    else:  # pragma: no cover - guarded by TrialSpec validation
-        raise ValueError(name)
+    elif res.selected is not None:
+        score = X[:, res.selected].sum(axis=1)
+    else:
+        score = X.sum(axis=1)
     entry = {
         "hamming": hamming_clustering(res.labels, ds.labels),
         "cosine": cos_angle(score, ds.labels.astype(float)) if np.any(score) else 0.0,
@@ -224,60 +273,6 @@ def _run_cluster_method(name: str, opts: dict, ds: Dataset, params: ArwParams, s
     return entry
 
 
-def _run_recovery_method(name: str, opts: dict, ds: Dataset, params: ArwParams, seed: int):
-    X = ds.X
-    if name == "recover_sa_star":
-        res = recover.recover_sa_star(X)
-    elif name == "recover_if_star":
-        res = recover.recover_if_star(X)
-    elif name == "recover_sa_n":
-        res = recover.recover_sa_N(
-            X,
-            _default_N(opts, params),
-            method=opts.get("solver", "auto"),
-            budget=int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET)),
-            restarts=int(opts.get("restarts", 8)),
-            seed=seed,
-        )
-    elif name == "recover_if_q":
-        res = recover.recover_if_q(X, q=_default_q(opts, params))
-    elif name == "recover_signed_pca":
-        res = recover.recover_signed_pca(X)
-    else:  # pragma: no cover
-        raise ValueError(name)
-    entry = {
-        "hamming": hamming_recovery(res.support, ds.support, params.expected_signals),
-        "support_size": int(res.support.size),
-    }
-    if res.signs is not None:
-        entry["signed_hamming"] = hamming_recovery_signed(res.signs, ds.mu, params.expected_signals)
-    return entry
-
-
-def _run_test_method(name: str, opts: dict, ds: Dataset, params: ArwParams, seed: int):
-    X = ds.X
-    if name == "agg_chi2":
-        out = hyptest.simple_agg_test(X)
-    elif name == "sparse_agg_l1":
-        N = _default_N(opts, params)
-        greedy = opts.get("greedy")
-        if greedy is None:
-            greedy = math.comb(params.p, N) > int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET))
-        out = hyptest.sparse_agg_test(
-            X,
-            N,
-            greedy=bool(greedy),
-            budget=int(opts.get("budget", cluster.DEFAULT_ENUM_BUDGET)),
-            restarts=int(opts.get("restarts", 8)),
-            seed=seed,
-        )
-    elif name == "higher_criticism":
-        out = hyptest.higher_criticism_test(X)
-    else:  # pragma: no cover
-        raise ValueError(name)
-    return {"statistic": out.statistic, "threshold": out.threshold, "reject": bool(out.reject)}
-
-
 def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate one dataset and run every requested method on it.
 
@@ -286,27 +281,18 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     """
     t0 = time.perf_counter()
     ds = gen_dataset(spec.params, spec.noise, spec.seed)
-    clustering, recovery_out, tests = {}, {}, {}
+    groups = {"clustering": {}, "recovery": {}, "tests": {}}
     for name, opts in spec.methods.items():
-        opts = opts or {}
+        method = METHODS[name]
         try:
-            if name in CLUSTER_METHODS:
-                clustering[name] = _run_cluster_method(name, opts, ds, spec.params, spec.seed)
-            elif name in RECOVERY_METHODS:
-                recovery_out[name] = _run_recovery_method(name, opts, ds, spec.params, spec.seed)
-            else:
-                tests[name] = _run_test_method(name, opts, ds, spec.params, spec.seed)
-        except (ValueError, cluster.EnumerationBudgetError) as exc:
-            target = (
-                clustering if name in CLUSTER_METHODS else recovery_out if name in RECOVERY_METHODS else tests
-            )
-            target[name] = {"error": str(exc)}
+            entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed)), ds, spec.params)
+        except ValueError as exc:  # cluster.EnumerationBudgetError included
+            entry = {"error": str(exc)}
+        groups[method.group][name] = entry
     return TrialRecord(
         spec_hash=spec.spec_hash(),
         seed=spec.seed,
-        clustering=clustering,
-        recovery=recovery_out,
-        tests=tests,
+        **groups,
         wall_time=time.perf_counter() - t0,
         spec=spec.to_dict(),
     )
@@ -325,7 +311,7 @@ def paired_test_error(params_alt: ArwParams, test_name: str, opts: dict | None, 
     removes the shared generation noise from the error-sum estimate.
     The null batch is the alternative calibration with tau forced to 0.
     """
-    if test_name not in TEST_METHODS:
+    if test_name not in METHODS or METHODS[test_name].group != "tests":
         raise ValueError(f"unknown test {test_name!r}")
     params_null = ArwParams(
         p=params_alt.p,
@@ -430,50 +416,43 @@ def _mean_ci(values: list[float]) -> dict:
     }
 
 
-def _aggregate_cell(records: list[TrialRecord]) -> dict:
-    out = {"clustering": {}, "recovery": {}, "tests": {}, "n_errors": 0}
-    names = {
-        "clustering": sorted({k for r in records for k in r.clustering}),
-        "recovery": sorted({k for r in records for k in r.recovery}),
-        "tests": sorted({k for r in records for k in r.tests}),
-    }
-    for group in ("clustering", "recovery"):
-        for name in names[group]:
-            entries = [getattr(r, group).get(name, {}) for r in records]
-            errors = [e for e in entries if "error" in e]
-            out["n_errors"] += len(errors)
-            good = [e for e in entries if "hamming" in e]
-            if not good:
-                out[group][name] = {"error": errors[0]["error"] if errors else "no data"}
-                continue
-            agg = {"hamming": _mean_ci([e["hamming"] for e in good])}
-            if group == "clustering":
-                agg["cosine"] = _mean_ci([e["cosine"] for e in good])
-                agg["fallback_rate"] = float(np.mean([e["fallback"] for e in good]))
-                if all("n_selected" in e for e in good):
-                    agg["n_selected"] = _mean_ci([float(e["n_selected"]) for e in good])
-            else:
-                agg["support_size"] = _mean_ci([float(e["support_size"]) for e in good])
-                if all("signed_hamming" in e for e in good):
-                    agg["signed_hamming"] = _mean_ci([e["signed_hamming"] for e in good])
-            out[group][name] = agg
-    for name in names["tests"]:
-        entries = [r.tests.get(name, {}) for r in records]
-        errors = [e for e in entries if "error" in e]
-        out["n_errors"] += len(errors)
-        good = [e for e in entries if "reject" in e]
-        if not good:
-            out["tests"][name] = {"error": errors[0]["error"] if errors else "no data"}
-            continue
+def _summarize(group: str, good: list[dict]) -> dict:
+    """Cell statistics of one method from its error-free trial entries."""
+    if group == "tests":
         k = int(np.sum([e["reject"] for e in good]))
         lo, hi = wilson_interval(k, len(good))
-        out["tests"][name] = {
+        return {
             "rejection_rate": k / len(good),
             "ci_low": lo,
             "ci_high": hi,
             "statistic": _mean_ci([e["statistic"] for e in good]),
             "n": len(good),
         }
+    agg = {"hamming": _mean_ci([e["hamming"] for e in good])}
+    if group == "clustering":
+        agg["cosine"] = _mean_ci([e["cosine"] for e in good])
+        agg["fallback_rate"] = float(np.mean([e["fallback"] for e in good]))
+        if all("n_selected" in e for e in good):
+            agg["n_selected"] = _mean_ci([float(e["n_selected"]) for e in good])
+    else:
+        agg["support_size"] = _mean_ci([float(e["support_size"]) for e in good])
+        if all("signed_hamming" in e for e in good):
+            agg["signed_hamming"] = _mean_ci([e["signed_hamming"] for e in good])
+    return agg
+
+
+def _aggregate_cell(records: list[TrialRecord]) -> dict:
+    out = {"clustering": {}, "recovery": {}, "tests": {}, "n_errors": 0}
+    for group in ("clustering", "recovery", "tests"):
+        for name in sorted({k for r in records for k in getattr(r, group)}):
+            entries = [getattr(r, group).get(name, {}) for r in records]
+            errors = [e for e in entries if "error" in e]
+            out["n_errors"] += len(errors)
+            good = [e for e in entries if e and "error" not in e]
+            if not good:
+                out[group][name] = {"error": errors[0]["error"] if errors else "no data"}
+                continue
+            out[group][name] = _summarize(group, good)
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import sparse_aggregation_exact, sparse_aggregation_greedy
+from .cluster import DEFAULT_ENUM_BUDGET, sparse_aggregation_exact, sparse_aggregation_greedy
 from .numerics import chisq_sf_vec
 from .spectral import chi2_scores
 
@@ -60,6 +60,8 @@ def simple_agg_test(X: np.ndarray) -> TestOutcome:
     """
     n, p = X.shape
     xbar = X.mean(axis=1)
+    if not np.isfinite(xbar).all():
+        raise ValueError("X must be finite")
     stat = (p * float(xbar @ xbar) - n) / math.sqrt(2 * n)
     return _outcome(stat, 2.0 * math.sqrt(2 * math.log(p)), "agg_chi2")
 
@@ -68,7 +70,7 @@ def sparse_agg_test(
     X: np.ndarray,
     N: int,
     greedy: bool = False,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_ENUM_BUDGET,
     restarts: int = 8,
     seed: int = 0,
 ) -> TestOutcome:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import (
+    DEFAULT_ENUM_BUDGET,
     classical_pca,
+    enum_configs,
     simple_aggregation,
     sparse_aggregation_exact,
     sparse_aggregation_greedy,
@@ -72,7 +74,7 @@ def recover_sa_N(
     X: np.ndarray,
     N: int,
     method: str = "auto",
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_ENUM_BUDGET,
     restarts: int = 8,
     seed: int = 0,
 ) -> RecoveryResult:
@@ -83,7 +85,7 @@ def recover_sa_N(
     """
     p = X.shape[1]
     if method == "auto":
-        method = "exact" if math.comb(p, N) <= budget else "greedy"
+        method = "exact" if enum_configs(p, N) <= budget else "greedy"
     if method == "exact":
         res = sparse_aggregation_exact(X, N, budget=budget)
     elif method == "greedy":

@@ -84,6 +84,26 @@ class TestSimulateCommand:
         )
         assert code == 2 and "preset" in err
 
+    def test_flags_reach_methods_that_accept_them(self, capsys):
+        base = ["simulate", "--p", "60", "--theta", "0.5", "--beta", "0.8", "--alpha", "0.2", "--seed", "1"]
+        code, out, _ = run_cli(base + ["--N", "2", "--methods", "signed_sparse_agg,recover_sa_n,simple_agg"], capsys)
+        assert code == 0
+        methods = json.loads(out)["spec"]["methods"]
+        assert methods == {"signed_sparse_agg": {"N": 2}, "recover_sa_n": {"N": 2}, "simple_agg": {}}
+        names = "if_pca,recover_if_q,classical_pca,recover_if_star,sparse_agg_greedy,higher_criticism"
+        code, out, _ = run_cli(base + ["--q", "0.5", "--methods", names], capsys)
+        assert code == 0
+        methods = json.loads(out)["spec"]["methods"]
+        assert {name for name, opts in methods.items() if opts} == {"if_pca", "recover_if_q"}
+        assert methods["if_pca"] == methods["recover_if_q"] == {"q": 0.5}
+
+    def test_unknown_method_lists_available(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--p", "300", "--alpha", "0.1", "--methods", "simple_agg,magic"], capsys
+        )
+        assert code == 2
+        assert "magic" in err and "higher_criticism" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             [

@@ -226,6 +226,25 @@ class TestIfPca:
         assert float(np.mean(cos_good)) - float(np.mean(cos_bad)) >= 0.4
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        simple_aggregation,
+        lambda X: sparse_aggregation_exact(X, N=2),
+        lambda X: sparse_aggregation_greedy(X, N=3, restarts=2),
+        lambda X: signed_sparse_aggregation(X, N=2),
+        lambda X: signed_sparse_aggregation(X, N=3, greedy=True, restarts=2),
+    ],
+    ids=["simple", "exact", "greedy", "signed_exact", "signed_greedy"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_aggregation_rejects_non_finite(route, bad):
+    X = np.random.default_rng(72).standard_normal((12, 20))
+    X[4, 7] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        route(X)
+
+
 class TestSignedSparseAggregation:
     def test_positive_signals_match_unsigned_objective(self):
         rng = np.random.default_rng(70)

@@ -73,6 +73,78 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             TrialSpec(params=ArwParams(p=100, theta=0.5, beta=0.4, alpha=0.2), methods={"magic": {}})
 
+    @pytest.mark.parametrize(
+        "methods, bad",
+        [({"if_pca": {"Q": 0.01}}, "Q"), ({"sparse_agg_l1": {"solver": "greedy"}}, "solver")],
+    )
+    def test_unaccepted_option_rejected(self, methods, bad):
+        (name,) = methods
+        with pytest.raises(ValueError, match=f"{name}.*{bad}"):
+            TrialSpec(params=ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.2), methods=methods)
+
+    def test_zero_N_is_not_the_default(self):
+        spec = TrialSpec(
+            params=ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15),
+            methods={"sparse_agg_greedy": {"N": 0}, "sparse_agg_exact": {"N": None}},
+            seed=1,
+        )
+        rec = run_trial(spec)
+        assert rec.clustering["sparse_agg_greedy"] == {"error": "N must lie in [1, 300], got 0"}
+        assert "error" in rec.clustering["sparse_agg_exact"]  # None takes the default N=31: over budget
+
+    @pytest.mark.parametrize(
+        "name, group", [("sparse_agg_l1", "tests"), ("signed_sparse_agg", "clustering"), ("recover_sa_n", "recovery")]
+    )
+    def test_one_exact_or_greedy_rule(self, name, group):
+        params = ArwParams(p=40, theta=0.5, beta=0.8, alpha=0.2)  # default N=3
+        out = {}
+        for label, opts in {
+            "forced_exact": {"greedy": False, "budget": 10},
+            "auto_over_budget": {"budget": 10},
+            "forced_greedy": {"greedy": True, "restarts": 2},
+            "auto_in_budget": {},
+        }.items():
+            out[label] = getattr(run_trial(TrialSpec(params=params, methods={name: opts}, seed=4)), group)[name]
+        assert "enumeration budget 10" in out["forced_exact"]["error"]
+        assert all("error" not in entry for label, entry in out.items() if label != "forced_exact")
+
+    def test_entries_call_through_module_attributes(self, monkeypatch):
+        # a tracer swaps module attributes; every table entry must pick the swap up
+        from rareweak import cluster, hyptest, recover
+
+        calls = {
+            "simple_agg": (cluster, "simple_aggregation"),
+            "sparse_agg_exact": (cluster, "sparse_aggregation_exact"),
+            "sparse_agg_greedy": (cluster, "sparse_aggregation_greedy"),
+            "classical_pca": (cluster, "classical_pca"),
+            "if_pca": (cluster, "if_pca"),
+            "signed_sparse_agg": (cluster, "signed_sparse_aggregation"),
+            "recover_sa_star": (recover, "recover_sa_star"),
+            "recover_if_star": (recover, "recover_if_star"),
+            "recover_sa_n": (recover, "recover_sa_N"),
+            "recover_if_q": (recover, "recover_if_q"),
+            "recover_signed_pca": (recover, "recover_signed_pca"),
+            "agg_chi2": (hyptest, "simple_agg_test"),
+            "sparse_agg_l1": (hyptest, "sparse_agg_test"),
+            "higher_criticism": (hyptest, "higher_criticism_test"),
+        }
+        seen = []
+
+        def spy(real, attr):
+            def wrapper(*args, **kwargs):
+                seen.append(attr)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module, attr in calls.values():
+            monkeypatch.setattr(module, attr, spy(getattr(module, attr), attr))
+        for name, (_, attr) in calls.items():
+            seen.clear()
+            spec = TrialSpec(params=ArwParams(p=120, theta=0.5, beta=0.8, alpha=0.05), methods={name: {}}, seed=2)
+            assert not run_trial(spec).has_errors
+            assert seen[0] == attr, name
+
     def test_all_method_kinds_run(self):
         spec = TrialSpec(
             params=ArwParams(p=120, theta=0.5, beta=0.4, alpha=0.05, sign_mix_a=0.5),

@@ -79,6 +79,23 @@ class TestSparseAggTest:
         assert out.method == "sparse_agg_l1"
 
 
+@pytest.mark.parametrize(
+    "test",
+    [
+        ht.simple_agg_test,
+        lambda X: ht.sparse_agg_test(X, N=2),
+        lambda X: ht.sparse_agg_test(X, N=3, greedy=True, restarts=2),
+    ],
+    ids=["agg_chi2", "sparse_exact", "sparse_greedy"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite(test, bad):
+    X = np.random.default_rng(92).standard_normal((12, 20))
+    X[4, 7] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        test(X)
+
+
 def uniform_plugin_pvalues(p):
     return np.arange(1, p + 1) / (p + 1)
 

@@ -4,9 +4,7 @@ Four routes to a +-1 label vector, in increasing appetite for sparsity:
 
 * simple_aggregation  - sign of the row sums; no selection at all.
 * sparse_aggregation_* - pick N columns maximizing the L1 norm of their
-  sum, then take the sign of that sum. The exact solver enumerates all
-  supports (and is budget-capped); the greedy solver does forward
-  selection plus 1-swap local search.
+  sum, then take the sign of that sum.
 * classical_pca       - sign of the top left singular vector of X.
 * if_pca              - chi-square screen first, then classical PCA on
   the survivors; falls back to classical PCA on an empty screen.
@@ -15,6 +13,14 @@ signed_sparse_aggregation extends sparse aggregation to sign-valued
 weights for the model where feature effects carry mixed signs, and
 kmeans_1d_two is the exact two-cluster split of scalar scores used by
 the applied pipeline.
+
+Both aggregation objectives run on one search engine over a sign set:
+(1,) for the plain column sum, (1, -1) for sign-valued weights. The sign
+loop is the only place the two objectives differ. The engine has an
+exact solver, which enumerates every (support, sign pattern) pair in
+chunks and is budget-capped, and a greedy solver, which does forward
+selection plus best-improvement 1-swap local search from several
+restarts.
 
 sgn(0) is taken as +1 throughout: a zero is not a legal class label, so
 it is collapsed deterministically.
@@ -89,12 +95,144 @@ def simple_aggregation(X: np.ndarray) -> ClusterResult:
     return ClusterResult(labels=_sgn(sums), method="simple_agg")
 
 
-def _check_enum_budget(n_configs: int, budget: int, solver_hint: str) -> None:
+def _check_sparsity(p: int, N: int) -> None:
+    if not 1 <= N <= p:
+        raise ValueError(f"N must lie in [1, {p}], got {N}")
+
+
+def _l1_objective(running: np.ndarray) -> float:
+    return float(np.abs(running).sum())
+
+
+def _sign_patterns(signs: tuple, N: int, start: int, stop: int) -> np.ndarray:
+    """Patterns start..stop-1 of (signs[0],) + rest, rest in itertools.product(signs, repeat=N-1) order."""
+    digits = np.arange(start, stop)[:, None] // len(signs) ** np.arange(N - 2, -1, -1) % len(signs)
+    patterns = np.empty((stop - start, N))
+    patterns[:, 0] = signs[0]
+    patterns[:, 1:] = np.asarray(signs, dtype=float)[digits]
+    return patterns
+
+
+def _exact_search(
+    X: np.ndarray, N: int, signs: tuple, budget: int, solver_hint: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Best (support, sign pattern) pair by exhaustive enumeration.
+
+    Supports come in itertools.combinations order, each with its sign
+    patterns in itertools.product order and the first sign fixed at +1
+    (w and -w tie). Ties go to the first pair, i.e. the lexicographically
+    smallest support, then the first pattern. Returns the support, its
+    pattern, the weighted column sum and its L1 norm.
+    """
+    n, p = X.shape
+    _check_sparsity(p, N)
+    n_configs = enum_configs(p, N, signed=len(signs) > 1)
     if n_configs > budget:
         raise EnumerationBudgetError(
-            f"{n_configs} configurations exceed the enumeration budget {budget}; "
-            f"use {solver_hint} instead"
+            f"{n_configs} configurations exceed the enumeration budget {budget}; use {solver_hint} instead"
         )
+    _require_finite(X)
+    n_patterns = len(signs) ** (N - 1)
+    # a chunk holds at most `pairs` (support, pattern) pairs, so its
+    # (n, supports, patterns, N) product stays within 200_000 entries:
+    # whole supports with all their patterns, or one support's patterns
+    # in slices when they alone overflow the chunk (up to 2^19 at N = 20)
+    pairs = max(1, 200_000 // max(n * N, 1))
+    per_chunk = max(1, pairs // n_patterns)
+    step = max(1, pairs // per_chunk)
+    best_obj = -math.inf
+    best = None
+    combos = itertools.combinations(range(p), N)
+    while chunk := list(itertools.islice(combos, per_chunk)):
+        cols = X[:, np.array(chunk)]  # (n, c, N)
+        for start in range(0, n_patterns, step):
+            patterns = _sign_patterns(signs, N, start, min(start + step, n_patterns))
+            sums = (cols[:, :, None, :] * patterns).sum(axis=3)  # (n, c, m)
+            objs = np.abs(sums).sum(axis=0).ravel()
+            k = int(np.argmax(objs))
+            if objs[k] > best_obj:
+                c, m = divmod(k, len(patterns))
+                best_obj = float(objs[k])
+                best = (chunk[c], patterns[m].copy(), sums[:, c, m].copy())
+    support, pattern, running = best
+    return np.asarray(support), pattern, running, best_obj
+
+
+def _best_candidate(
+    base: np.ndarray, X: np.ndarray, signs: tuple, blocked: list[int]
+) -> tuple[float, int, int]:
+    """(value, column, sign) maximizing ||base + sign * x_j||_1 over unblocked j.
+
+    Ties go to the first sign, then the lowest column. Each sign is
+    evaluated as base + X or base - X, with no n-by-p copy of sign * X.
+    """
+    best = None
+    for s in signs:
+        vals = np.abs(base[:, None] + X if s > 0 else base[:, None] - X).sum(axis=0)
+        _require_finite(vals)
+        vals[blocked] = -np.inf
+        j = int(np.argmax(vals))
+        if best is None or vals[j] > best[0]:
+            best = (float(vals[j]), j, s)
+    return best
+
+
+def _greedy_search(
+    X: np.ndarray, N: int, signs: tuple, restarts: int, seed: int, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Forward selection plus best-improvement 1-swap search over (column, sign) picks.
+
+    Restart 0 is the pure greedy run; each further restart seeds the
+    first column at random with sign +1. A swap empties one slot and
+    refills it from every column outside the other slots, so a signed
+    search may refill it with the same column of the opposite sign. The
+    best objective wins, ties going to the lowest restart index, so
+    results are deterministic given the seed. Returns the sorted support,
+    its signs (first one positive: w and -w tie), the weighted column sum
+    and its L1 norm.
+    """
+    n, p = X.shape
+    _check_sparsity(p, N)
+    rng = np.random.default_rng(seed)
+    firsts: list[int | None] = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
+    best = None
+    for first in firsts:
+        chosen: list[int] = []
+        weights: list[int] = []
+        running = np.zeros(n)
+        if first is not None:
+            chosen, weights = [first], [1]
+            running = running + X[:, first]
+        while len(chosen) < N:
+            _, j, s = _best_candidate(running, X, signs, chosen)
+            chosen.append(j)
+            weights.append(s)
+            running = running + s * X[:, j]
+        obj = _l1_objective(running)
+        for _ in range(max_sweeps):
+            best_gain = 1e-9
+            best_move = None
+            for pos, i in enumerate(chosen):
+                base = running - weights[pos] * X[:, i]
+                val, j, s = _best_candidate(base, X, signs, chosen[:pos] + chosen[pos + 1 :])
+                if val - obj > best_gain:
+                    best_gain = val - obj
+                    best_move = (pos, j, s)
+            if best_move is None:
+                break
+            pos, j, s = best_move
+            running = running - weights[pos] * X[:, chosen[pos]] + s * X[:, j]
+            chosen[pos], weights[pos] = j, s
+            obj = _l1_objective(running)
+        if best is None or obj > best[0] + 1e-12:
+            best = (obj, chosen, weights, running)
+    obj, chosen, weights, running = best
+    order = np.argsort(chosen)
+    support = np.asarray(chosen)[order]
+    pattern = np.asarray(weights, dtype=float)[order]
+    if pattern[0] < 0:
+        pattern, running = -pattern, -running
+    return support, pattern, running, obj
 
 
 def sparse_aggregation_exact(
@@ -105,82 +243,8 @@ def sparse_aggregation_exact(
     Ties go to the lexicographically smallest index set. Refuses to run
     when comb(p, N) exceeds ``budget``.
     """
-    n, p = X.shape
-    if not 1 <= N <= p:
-        raise ValueError(f"N must lie in [1, {p}], got {N}")
-    _check_enum_budget(enum_configs(p, N), budget, "sparse_aggregation_greedy")
-    _require_finite(X)
-    best_obj = -math.inf
-    best_set = None
-    combos = itertools.combinations(range(p), N)
-    chunk_size = max(1, 200_000 // max(n * N, 1))
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        idx = np.array(chunk)  # (c, N)
-        sums = X[:, idx].sum(axis=2)  # (n, c)
-        objs = np.abs(sums).sum(axis=0)
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:
-            best_obj = float(objs[k])
-            best_set = idx[k]
-    agg = X[:, best_set].sum(axis=1)
-    return ClusterResult(
-        labels=_sgn(agg),
-        method="sparse_agg",
-        selected=np.asarray(best_set),
-        objective=best_obj,
-    )
-
-
-def _l1_objective(running: np.ndarray) -> float:
-    return float(np.abs(running).sum())
-
-
-def _greedy_forward(X: np.ndarray, N: int, first: int | None) -> tuple[list[int], np.ndarray]:
-    n, p = X.shape
-    selected: list[int] = []
-    running = np.zeros(n)
-    if first is not None:
-        selected.append(first)
-        running = running + X[:, first]
-    while len(selected) < N:
-        cand = np.abs(running[:, None] + X).sum(axis=0)
-        _require_finite(cand)
-        cand[selected] = -np.inf
-        j = int(np.argmax(cand))
-        selected.append(j)
-        running = running + X[:, j]
-    return selected, running
-
-
-def _one_swap_local_search(
-    X: np.ndarray, selected: list[int], running: np.ndarray, max_sweeps: int
-) -> tuple[list[int], np.ndarray, float]:
-    p = X.shape[1]
-    obj = _l1_objective(running)
-    for _ in range(max_sweeps):
-        best_gain = 1e-9
-        best_move = None
-        in_set = np.zeros(p, dtype=bool)
-        in_set[selected] = True
-        for pos, i in enumerate(selected):
-            base = running - X[:, i]
-            vals = np.abs(base[:, None] + X).sum(axis=0)
-            vals[in_set] = -np.inf
-            j = int(np.argmax(vals))
-            gain = vals[j] - obj
-            if gain > best_gain:
-                best_gain = gain
-                best_move = (pos, j)
-        if best_move is None:
-            break
-        pos, j = best_move
-        running = running - X[:, selected[pos]] + X[:, j]
-        selected[pos] = j
-        obj = _l1_objective(running)
-    return selected, running, obj
+    support, _, running, obj = _exact_search(X, N, (1,), budget, "sparse_aggregation_greedy")
+    return ClusterResult(labels=_sgn(running), method="sparse_agg", selected=support, objective=obj)
 
 
 def sparse_aggregation_greedy(
@@ -196,24 +260,8 @@ def sparse_aggregation_greedy(
     first column at random. The best objective wins, ties going to the
     lowest restart index, so results are deterministic given the seed.
     """
-    n, p = X.shape
-    if not 1 <= N <= p:
-        raise ValueError(f"N must lie in [1, {p}], got {N}")
-    rng = np.random.default_rng(seed)
-    firsts: list[int | None] = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
-    best = None
-    for first in firsts:
-        selected, running = _greedy_forward(X, N, first)
-        selected, running, obj = _one_swap_local_search(X, selected, running, max_sweeps)
-        if best is None or obj > best[0] + 1e-12:
-            best = (obj, sorted(selected), running)
-    obj, selected, running = best
-    return ClusterResult(
-        labels=_sgn(running),
-        method="sparse_agg_greedy",
-        selected=np.asarray(selected),
-        objective=obj,
-    )
+    support, _, running, obj = _greedy_search(X, N, (1,), restarts, seed, max_sweeps)
+    return ClusterResult(labels=_sgn(running), method="sparse_agg_greedy", selected=support, objective=obj)
 
 
 def classical_pca(X: np.ndarray) -> ClusterResult:
@@ -260,103 +308,22 @@ def signed_sparse_aggregation(
 
     Labels are the sign of X @ w. The weight vector doubles as a sign
     estimate of the feature effects (w and -w tie by symmetry; the
-    returned one has its first nonzero weight positive).
+    returned one has its first nonzero weight positive). The exact
+    solver is budget-capped by comb(p, N) 2^N; ``greedy`` runs the same
+    search as sparse_aggregation_greedy over both signs.
     """
-    n, p = X.shape
-    if not 1 <= N <= p:
-        raise ValueError(f"N must lie in [1, {p}], got {N}")
     if greedy:
-        return _signed_greedy(X, N, restarts, seed, max_sweeps)
-    _check_enum_budget(
-        enum_configs(p, N, signed=True), budget, "signed_sparse_aggregation(greedy=True)"
-    )
-    _require_finite(X)
-    best_obj = -math.inf
-    best_support = None
-    best_signs = None
-    # first sign fixed +1: w and -w give identical objectives
-    sign_patterns = [(1,) + rest for rest in itertools.product((1, -1), repeat=N - 1)]
-    for support in itertools.combinations(range(p), N):
-        cols = X[:, support]
-        for signs in sign_patterns:
-            obj = _l1_objective(cols @ np.asarray(signs, dtype=float))
-            if obj > best_obj:
-                best_obj = obj
-                best_support = support
-                best_signs = signs
-    w = np.zeros(p)
-    w[list(best_support)] = best_signs
-    return ClusterResult(
-        labels=_sgn(X @ w),
-        method="signed_sparse_agg",
-        selected=np.asarray(best_support),
-        objective=best_obj,
-        mu_hat=w,
-    )
-
-
-def _signed_greedy(X, N, restarts, seed, max_sweeps):
-    n, p = X.shape
-    rng = np.random.default_rng(seed)
-    firsts: list[tuple[int, int] | None] = [None] + [
-        (int(rng.integers(p)), 1) for _ in range(max(0, restarts - 1))
-    ]
-    best = None
-    for first in firsts:
-        w = np.zeros(p)
-        running = np.zeros(n)
-        if first is not None:
-            j0, s0 = first
-            w[j0] = s0
-            running = running + s0 * X[:, j0]
-        while int(np.count_nonzero(w)) < N:
-            plus = np.abs(running[:, None] + X).sum(axis=0)
-            minus = np.abs(running[:, None] - X).sum(axis=0)
-            _require_finite(plus)
-            plus[w != 0] = -np.inf
-            minus[w != 0] = -np.inf
-            jp, jm = int(np.argmax(plus)), int(np.argmax(minus))
-            if plus[jp] >= minus[jm]:
-                w[jp] = 1
-                running = running + X[:, jp]
-            else:
-                w[jm] = -1
-                running = running - X[:, jm]
-        obj = _l1_objective(running)
-        for _ in range(max_sweeps):
-            improved = False
-            support = np.flatnonzero(w)
-            for i in support:
-                base = running - w[i] * X[:, i]
-                plus = np.abs(base[:, None] + X).sum(axis=0)
-                minus = np.abs(base[:, None] - X).sum(axis=0)
-                # the vacated slot may be refilled with either sign
-                plus[support[support != i]] = -np.inf
-                minus[support[support != i]] = -np.inf
-                jp, jm = int(np.argmax(plus)), int(np.argmax(minus))
-                cand_obj, j, s = max(
-                    (float(plus[jp]), jp, 1), (float(minus[jm]), jm, -1)
-                )
-                if cand_obj > obj + 1e-9:
-                    w[i] = 0.0
-                    w[j] = s
-                    running = base + s * X[:, j]
-                    obj = cand_obj
-                    improved = True
-                    break
-            if not improved:
-                break
-        if best is None or obj > best[0] + 1e-12:
-            best = (obj, w.copy(), running.copy())
-    obj, w, running = best
-    nz = np.flatnonzero(w)
-    if nz.size and w[nz[0]] < 0:
-        w = -w
-        running = -running
+        support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed, max_sweeps)
+    else:
+        support, pattern, running, obj = _exact_search(
+            X, N, (1, -1), budget, "signed_sparse_aggregation(greedy=True)"
+        )
+    w = np.zeros(X.shape[1])
+    w[support] = pattern
     return ClusterResult(
         labels=_sgn(running),
-        method="signed_sparse_agg_greedy",
-        selected=np.flatnonzero(w),
+        method="signed_sparse_agg_greedy" if greedy else "signed_sparse_agg",
+        selected=support,
         objective=obj,
         mu_hat=w,
     )

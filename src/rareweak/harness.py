@@ -66,6 +66,19 @@ METHOD_PRESETS = {
 }
 
 
+def _check_methods(methods: dict) -> None:
+    """Reject an empty method map, an unknown method or an option its method does not take."""
+    if not methods:
+        raise ValueError("at least one method is required")
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)}; available: {sorted(METHODS)}")
+    for name, opts in methods.items():
+        bad = sorted(set(opts or {}) - METHODS[name].options)
+        if bad:
+            raise ValueError(f"method {name!r} does not accept {bad}; it accepts {sorted(METHODS[name].options)}")
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     params: ArwParams
@@ -74,15 +87,7 @@ class TrialSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec.white)
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}; available: {sorted(METHODS)}")
-        for name, opts in self.methods.items():
-            bad = sorted(set(opts or {}) - METHODS[name].options)
-            if bad:
-                raise ValueError(f"method {name!r} does not accept {bad}; it accepts {sorted(METHODS[name].options)}")
+        _check_methods(self.methods)
 
     def to_dict(self) -> dict:
         noise = {"kind": self.noise.kind}
@@ -360,6 +365,7 @@ class SweepSpec:
             raise ValueError("reps must be at least 1")
         if self.strength_kind not in ("alpha", "r", "alpha_ratio"):
             raise ValueError(f"bad strength_kind {self.strength_kind!r}")
+        _check_methods(self.methods)
 
     def to_dict(self) -> dict:
         return {

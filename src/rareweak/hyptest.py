@@ -96,10 +96,13 @@ def column_pvalues(X: np.ndarray) -> np.ndarray:
 
     pi_j = P(chi2_n >= n + sqrt(2n) Q(j)), clipped below at the
     distribution's support (scores so negative that the quantile would
-    be below zero get P-value 1).
+    be below zero get P-value 1). A NaN or inf entry raises ValueError:
+    its column's P-value would be 0 or undefined.
     """
     n = X.shape[0]
     Q = chi2_scores(X)
+    if not np.isfinite(Q).all():
+        raise ValueError("X must be finite")
     quantiles = np.maximum(n + math.sqrt(2 * n) * Q, 0.0)
     return chisq_sf_vec(quantiles, n)
 

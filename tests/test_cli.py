@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from rareweak.cli import main
 
@@ -149,6 +150,16 @@ class TestSweepCommand:
         path.write_text('{"p": 300}')
         code, _, err = run_cli(["sweep", "--spec", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("methods", [{"if_pca": {"Q": 0.1}}, {"magic": {}}], ids=["bad_option", "unknown"])
+    def test_bad_methods_exit_2(self, tmp_path, capsys, methods):
+        path = self.sweep_spec(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["methods"] = methods
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(["sweep", "--spec", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("invalid sweep spec:")
 
 
 class TestIfpcaCommand:

@@ -95,6 +95,106 @@ class TestSparseAggregationExact:
             sparse_aggregation_exact(X, N=20, budget=1000)
 
 
+def enumeration_oracle(X, N, signs):
+    """Plain-loop search over (support, sign pattern) pairs, first sign fixed at +1.
+
+    Supports in itertools.combinations order, patterns in
+    itertools.product order; the first best pair wins.
+    """
+    best_obj, best_support, best_pattern = -math.inf, None, None
+    patterns = [(1,) + rest for rest in itertools.product(signs, repeat=N - 1)]
+    for support in itertools.combinations(range(X.shape[1]), N):
+        cols = X[:, support]
+        for pattern in patterns:
+            obj = float(np.abs(cols @ np.asarray(pattern, dtype=float)).sum())
+            if obj > best_obj:
+                best_obj, best_support, best_pattern = obj, support, pattern
+    return best_support, best_pattern, best_obj
+
+
+def oracle_instances():
+    for seed in range(60):
+        rng = np.random.default_rng(1000 + seed)
+        n, p = int(rng.integers(2, 9)), int(rng.integers(2, 8))
+        # integer entries make exact ties, which exercise the tie-break
+        X = rng.integers(-2, 3, (n, p)).astype(float) if seed % 2 else rng.standard_normal((n, p))
+        N = p if seed % 10 == 0 else int(rng.integers(1, p + 1))
+        yield X, N
+    # several enumeration chunks: repeated columns tie across chunk
+    # boundaries, and at p = N = 12 one support's 2^11 sign patterns are
+    # split over chunks
+    rng = np.random.default_rng(1100)
+    yield rng.integers(-1, 2, (100, 4)).astype(float)[:, [0, 1, 2, 3, 0, 1, 2, 3]], 4
+    yield rng.integers(-1, 2, (10, 12)).astype(float), 12
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_exact_matches_enumeration_oracle(signs):
+    for X, N in oracle_instances():
+        if signs == (1,):
+            res = sparse_aggregation_exact(X, N)
+            pattern = np.ones(N)
+        else:
+            res = signed_sparse_aggregation(X, N)
+            pattern = res.mu_hat[res.selected]
+        support, want_pattern, want_obj = enumeration_oracle(X, N, signs)
+        assert res.selected.tolist() == list(support)
+        assert pattern.tolist() == list(want_pattern)
+        assert res.objective == pytest.approx(want_obj, rel=1e-12)
+
+
+def improving_swap(X, weights, signs):
+    """A (column, sign, new column) exchange raising ||X w||_1 by more than 1e-9, or None.
+
+    The vacated slot may be refilled from any column outside the other
+    chosen ones, so a signed weight may also flip its own sign.
+    """
+    chosen = np.flatnonzero(weights)
+    running = X @ weights
+    obj = np.abs(running).sum()
+    for i in chosen:
+        base = running - weights[i] * X[:, i]
+        others = np.setdiff1d(chosen, [i])
+        for s in signs:
+            vals = np.abs(base[:, None] + s * X).sum(axis=0)
+            vals[others] = -np.inf
+            if vals.max() > obj + 1e-9:
+                return int(i), s, int(np.argmax(vals))
+    return None
+
+
+def greedy_instances():
+    for seed in range(10):
+        rng = np.random.default_rng(500 + seed)
+        n, p, N = 30, 60, 4
+        ell = rng.integers(0, 2, n) * 2 - 1
+        mu = np.zeros(p)
+        mu[rng.choice(p, N, replace=False)] = rng.choice([-0.8, 0.8], N)
+        yield seed, rank_one(ell, mu) + rng.standard_normal((n, p)), N
+    # tiny instances, half of them with p = N, where the only signed swap
+    # left is flipping a chosen column's sign
+    for seed in range(10, 210):
+        rng = np.random.default_rng(500 + seed)
+        n, p = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        yield seed, rng.standard_normal((n, p)), p if seed % 2 else int(rng.integers(1, p + 1))
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_greedy_is_one_swap_optimal(signs):
+    for seed, X, N in greedy_instances():
+        p = X.shape[1]
+        if signs == (1,):
+            res = sparse_aggregation_greedy(X, N, restarts=3, seed=seed)
+            w = np.zeros(p)
+            w[res.selected] = 1.0
+        else:
+            res = signed_sparse_aggregation(X, N, greedy=True, restarts=3, seed=seed)
+            w = res.mu_hat
+        assert np.count_nonzero(w) == N
+        assert improving_swap(X, w, signs) is None
+        assert res.objective == pytest.approx(float(np.abs(X @ w).sum()), rel=1e-10)
+
+
 class TestSparseAggregationGreedy:
     def test_never_beats_exact(self):
         rng = np.random.default_rng(64)
@@ -133,6 +233,28 @@ class TestSparseAggregationGreedy:
         b = sparse_aggregation_greedy(X, N=4, seed=5)
         np.testing.assert_array_equal(a.selected, b.selected)
         assert a.objective == b.objective
+
+    @pytest.mark.parametrize(
+        "seed, support, objective",
+        [
+            (0, [5, 10, 71, 73, 78], 109.66898964447007),
+            (1, [9, 10, 35, 76, 78], 94.61632439991683),
+            (2, [6, 31, 59, 70, 74], 109.02325437765009),
+            (3, [6, 24, 39, 46, 72], 103.4956558680684),
+            (4, [36, 52, 64, 74, 79], 126.02247261682739),
+        ],
+    )
+    def test_pinned_outputs(self, seed, support, objective):
+        # recorded from the separate unsigned forward + 1-swap solver that
+        # the shared engine replaced; the objective must match to the bit
+        rng = np.random.default_rng(900 + seed)
+        ell = rng.integers(0, 2, 25) * 2 - 1
+        mu = np.zeros(80)
+        mu[rng.choice(80, 5, replace=False)] = 0.8
+        X = rank_one(ell, mu) + rng.standard_normal((25, 80))
+        res = sparse_aggregation_greedy(X, N=5, restarts=4, seed=seed)
+        assert res.selected.tolist() == support
+        assert res.objective == objective
 
 
 class TestClassicalPca:
@@ -287,6 +409,16 @@ class TestSignedSparseAggregation:
             ex = signed_sparse_aggregation(X, N=3)
             gr = signed_sparse_aggregation(X, N=3, greedy=True, seed=seed)
             assert gr.objective <= ex.objective + 1e-9
+
+    def test_greedy_deterministic_given_seed(self):
+        rng = np.random.default_rng(74)
+        X = rng.standard_normal((10, 30))
+        a = signed_sparse_aggregation(X, N=4, greedy=True, seed=5)
+        b = signed_sparse_aggregation(X, N=4, greedy=True, seed=5)
+        np.testing.assert_array_equal(a.selected, b.selected)
+        np.testing.assert_array_equal(a.mu_hat, b.mu_hat)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.objective == b.objective
 
     def test_budget_error(self):
         X = np.zeros((2, 30))

@@ -85,8 +85,10 @@ class TestSparseAggTest:
         ht.simple_agg_test,
         lambda X: ht.sparse_agg_test(X, N=2),
         lambda X: ht.sparse_agg_test(X, N=3, greedy=True, restarts=2),
+        ht.higher_criticism_test,
+        ht.column_pvalues,
     ],
-    ids=["agg_chi2", "sparse_exact", "sparse_greedy"],
+    ids=["agg_chi2", "sparse_exact", "sparse_greedy", "higher_criticism", "column_pvalues"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rejects_non_finite(test, bad):

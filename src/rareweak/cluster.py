@@ -20,7 +20,9 @@ loop is the only place the two objectives differ. The engine has an
 exact solver, which enumerates every (support, sign pattern) pair in
 chunks and is budget-capped, and a greedy solver, which does forward
 selection plus best-improvement 1-swap local search from several
-restarts.
+restarts. The greedy solver scores all p candidate columns of a step in
+one n-by-p scratch array, allocated once per search and laid out like X,
+so no candidate evaluation allocates an n-by-p temporary.
 
 sgn(0) is taken as +1 throughout: a zero is not a legal class label, so
 it is collapsed deterministically.
@@ -84,8 +86,10 @@ def default_sparsity(expected_signals: float) -> int:
 
 
 def enum_configs(p: int, N: int, signed: bool = False) -> int:
-    """Budget charge of an exact N-of-p search: C(p, N), times 2^N when signed."""
-    return math.comb(p, N) * (2**N if signed else 1)
+    """Budget charge of an exact N-of-p search: the (support, sign pattern)
+    pairs it evaluates, C(p, N), times 2^(N-1) when signed (the first sign
+    is fixed, since w and -w tie)."""
+    return math.comb(p, N) * (2 ** (N - 1) if signed else 1)
 
 
 def simple_aggregation(X: np.ndarray) -> ClusterResult:
@@ -159,16 +163,19 @@ def _exact_search(
 
 
 def _best_candidate(
-    base: np.ndarray, X: np.ndarray, signs: tuple, blocked: list[int]
+    base: np.ndarray, X: np.ndarray, signs: tuple, blocked: list[int], buf: np.ndarray
 ) -> tuple[float, int, int]:
     """(value, column, sign) maximizing ||base + sign * x_j||_1 over unblocked j.
 
-    Ties go to the first sign, then the lowest column. Each sign is
-    evaluated as base + X or base - X, with no n-by-p copy of sign * X.
+    Ties go to the first sign, then the lowest column. Each sign writes
+    |base + X| or |base - X| into ``buf``, an n-by-p scratch array laid
+    out like X (so the column sums reduce in the same order as over a
+    fresh temporary), with no n-by-p copy of sign * X.
     """
     best = None
     for s in signs:
-        vals = np.abs(base[:, None] + X if s > 0 else base[:, None] - X).sum(axis=0)
+        (np.add if s > 0 else np.subtract)(base[:, None], X, out=buf)
+        vals = np.abs(buf, out=buf).sum(axis=0)
         _require_finite(vals)
         vals[blocked] = -np.inf
         j = int(np.argmax(vals))
@@ -194,6 +201,7 @@ def _greedy_search(
     n, p = X.shape
     _check_sparsity(p, N)
     rng = np.random.default_rng(seed)
+    buf = np.empty_like(X, dtype=float)
     firsts: list[int | None] = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
     best = None
     for first in firsts:
@@ -204,7 +212,7 @@ def _greedy_search(
             chosen, weights = [first], [1]
             running = running + X[:, first]
         while len(chosen) < N:
-            _, j, s = _best_candidate(running, X, signs, chosen)
+            _, j, s = _best_candidate(running, X, signs, chosen, buf)
             chosen.append(j)
             weights.append(s)
             running = running + s * X[:, j]
@@ -214,7 +222,7 @@ def _greedy_search(
             best_move = None
             for pos, i in enumerate(chosen):
                 base = running - weights[pos] * X[:, i]
-                val, j, s = _best_candidate(base, X, signs, chosen[:pos] + chosen[pos + 1 :])
+                val, j, s = _best_candidate(base, X, signs, chosen[:pos] + chosen[pos + 1 :], buf)
                 if val - obj > best_gain:
                     best_gain = val - obj
                     best_move = (pos, j, s)
@@ -309,8 +317,9 @@ def signed_sparse_aggregation(
     Labels are the sign of X @ w. The weight vector doubles as a sign
     estimate of the feature effects (w and -w tie by symmetry; the
     returned one has its first nonzero weight positive). The exact
-    solver is budget-capped by comb(p, N) 2^N; ``greedy`` runs the same
-    search as sparse_aggregation_greedy over both signs.
+    solver evaluates comb(p, N) 2^(N-1) (support, pattern) pairs and is
+    budget-capped by that count; ``greedy`` runs the same search as
+    sparse_aggregation_greedy over both signs.
     """
     if greedy:
         support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed, max_sweeps)

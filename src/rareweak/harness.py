@@ -150,12 +150,27 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class MethodArgs:
-    """What a method-table entry reads: its spec options, the calibration
-    and the seed. A missing or None option takes its default."""
+    """What a method-table entry reads: its spec options, the calibration,
+    the seed and the trial's memo. A missing or None option takes its default."""
 
     opts: dict
     params: ArwParams
     seed: int
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def once(self, fn: Callable, X: np.ndarray, *args, **kwargs):
+        """fn(X, *args, **kwargs), computed once per trial.
+
+        The memo belongs to one trial, so X is always that trial's data and
+        the key is fn with the other arguments. Entries pass fn as read off
+        its module at call time, so a patched function is the one that runs
+        and is keyed. Only results are kept: a call that raises raises again
+        for every method that asks for it.
+        """
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        if key not in self.memo:
+            self.memo[key] = fn(X, *args, **kwargs)
+        return self.memo[key]
 
     def _get(self, key: str, default):
         value = self.opts.get(key)
@@ -201,19 +216,27 @@ class Method:
 
 _SEARCH_OPTIONS = frozenset({"N", "budget", "greedy", "restarts"})
 
+
+def _unsigned_search(X: np.ndarray, a: MethodArgs, greedy: bool) -> cluster.ClusterResult:
+    """The trial's one unsigned N-column search with these options."""
+    if greedy:
+        return a.once(cluster.sparse_aggregation_greedy, X, a.N, restarts=a.restarts, seed=a.seed)
+    return a.once(cluster.sparse_aggregation_exact, X, a.N, budget=a.budget)
+
+
 # Entries call the library through its module attributes, so a function
-# patched on its module (by a tracer, say) is the one that runs.
+# patched on its module (by a tracer, say) is the one that runs. Results
+# that several methods read (the unsigned search, classical PCA, the
+# row-sum labels) go through MethodArgs.once and are computed once per trial.
 METHODS = {
-    "simple_agg": Method("clustering", frozenset(), lambda X, a: cluster.simple_aggregation(X)),
+    "simple_agg": Method("clustering", frozenset(), lambda X, a: a.once(cluster.simple_aggregation, X)),
     "sparse_agg_exact": Method(
-        "clustering", frozenset({"N", "budget"}), lambda X, a: cluster.sparse_aggregation_exact(X, a.N, budget=a.budget)
+        "clustering", frozenset({"N", "budget"}), lambda X, a: _unsigned_search(X, a, greedy=False)
     ),
     "sparse_agg_greedy": Method(
-        "clustering",
-        frozenset({"N", "restarts"}),
-        lambda X, a: cluster.sparse_aggregation_greedy(X, a.N, restarts=a.restarts, seed=a.seed),
+        "clustering", frozenset({"N", "restarts"}), lambda X, a: _unsigned_search(X, a, greedy=True)
     ),
-    "classical_pca": Method("clustering", frozenset(), lambda X, a: cluster.classical_pca(X)),
+    "classical_pca": Method("clustering", frozenset(), lambda X, a: a.once(cluster.classical_pca, X)),
     "if_pca": Method("clustering", frozenset({"q"}), lambda X, a: cluster.if_pca(X, q=a.q)),
     "signed_sparse_agg": Method(
         "clustering",
@@ -222,24 +245,32 @@ METHODS = {
             X, a.N, budget=a.budget, greedy=a.greedy(signed=True), restarts=a.restarts, seed=a.seed
         ),
     ),
-    "recover_sa_star": Method("recovery", frozenset(), lambda X, a: recover.recover_sa_star(X)),
-    "recover_if_star": Method("recovery", frozenset(), lambda X, a: recover.recover_if_star(X)),
+    "recover_sa_star": Method(
+        "recovery",
+        frozenset(),
+        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.simple_aggregation, X).labels, "sa_star"),
+    ),
+    "recover_if_star": Method(
+        "recovery",
+        frozenset(),
+        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.classical_pca, X).labels, "if_star"),
+    ),
     "recover_sa_n": Method(
         "recovery",
         _SEARCH_OPTIONS,
-        lambda X, a: recover.recover_sa_N(
-            X, a.N, method="greedy" if a.greedy() else "exact", budget=a.budget, restarts=a.restarts, seed=a.seed
-        ),
+        lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected, method="sa_N"),
     ),
     "recover_if_q": Method("recovery", frozenset({"q"}), lambda X, a: recover.recover_if_q(X, q=a.q)),
-    "recover_signed_pca": Method("recovery", frozenset(), lambda X, a: recover.recover_signed_pca(X)),
+    "recover_signed_pca": Method(
+        "recovery",
+        frozenset(),
+        lambda X, a: recover.signed_weighted_means(X, a.once(cluster.classical_pca, X).labels),
+    ),
     "agg_chi2": Method("tests", frozenset(), lambda X, a: hyptest.simple_agg_test(X)),
     "sparse_agg_l1": Method(
         "tests",
         _SEARCH_OPTIONS,
-        lambda X, a: hyptest.sparse_agg_test(
-            X, a.N, greedy=a.greedy(), budget=a.budget, restarts=a.restarts, seed=a.seed
-        ),
+        lambda X, a: hyptest.sparse_agg_outcome(_unsigned_search(X, a, a.greedy()).objective, *X.shape, a.N),
     ),
     "higher_criticism": Method("tests", frozenset(), lambda X, a: hyptest.higher_criticism_test(X)),
 }
@@ -281,16 +312,18 @@ def _entry(res, ds: Dataset, params: ArwParams) -> dict:
 def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate one dataset and run every requested method on it.
 
-    Per-method failures become {"error": message} entries; the other
-    methods still run.
+    Results that several methods share are computed once (see
+    MethodArgs.once). Per-method failures become {"error": message}
+    entries; the other methods still run.
     """
     t0 = time.perf_counter()
     ds = gen_dataset(spec.params, spec.noise, spec.seed)
     groups = {"clustering": {}, "recovery": {}, "tests": {}}
+    memo: dict = {}
     for name, opts in spec.methods.items():
         method = METHODS[name]
         try:
-            entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed)), ds, spec.params)
+            entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed, memo)), ds, spec.params)
         except ValueError as exc:  # cluster.EnumerationBudgetError included
             entry = {"error": str(exc)}
         groups[method.group][name] = entry

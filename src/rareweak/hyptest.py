@@ -29,6 +29,7 @@ __all__ = [
     "TestOutcome",
     "simple_agg_test",
     "sparse_agg_test",
+    "sparse_agg_outcome",
     "higher_criticism_test",
     "hc_statistic",
     "column_pvalues",
@@ -81,12 +82,16 @@ def sparse_agg_test(
     sqrt(2/pi) n, and the threshold adds the union-bound deviation
     sqrt(2 n (N + 2) log p).
     """
-    n, p = X.shape
     if greedy:
         res = sparse_aggregation_greedy(X, N, restarts=restarts, seed=seed)
     else:
         res = sparse_aggregation_exact(X, N, budget=budget)
-    stat = res.objective / math.sqrt(N)
+    return sparse_agg_outcome(res.objective, *X.shape, N)
+
+
+def sparse_agg_outcome(objective: float, n: int, p: int, N: int) -> TestOutcome:
+    """sparse_agg_test's verdict on a known best N-column L1 value of an n-by-p X."""
+    stat = objective / math.sqrt(N)
     threshold = math.sqrt(2 / math.pi) * n + math.sqrt(2 * n * (N + 2) * math.log(p))
     return _outcome(stat, threshold, "sparse_agg_l1")
 

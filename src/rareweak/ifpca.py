@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import kmeans_1d_two
+from .model import _require_finite_cells
 from .numerics import bh_threshold, chisq_sf_vec
 from .spectral import leading_left_singular
 
@@ -255,7 +256,8 @@ def load_labeled_csv(
     """Load rows-as-samples CSV with a header of feature names.
 
     Labels come either from a designated column of the same file or
-    from a separate single-column file (one label per sample line).
+    from a separate single-column file (one label per sample line). A
+    NaN or inf feature value raises ValueError naming its row and column.
     """
     data_path = Path(data_path)
     with open(data_path, newline="") as fh:
@@ -276,4 +278,5 @@ def load_labeled_csv(
         labels = np.array([line.strip() for line in Path(labels_path).read_text().splitlines() if line.strip()])
     else:
         raise ValueError("provide labels_path or label_column")
+    _require_finite_cells(X, data_path, names)
     return LabeledMatrix(X=X, class_labels=labels, feature_names=names)

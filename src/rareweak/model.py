@@ -138,6 +138,9 @@ class NoiseSpec:
             raise ValueError(f"kind must be 'white' or 'colored', got {self.kind!r}")
         if self.kind == "white" and (self.A is not None or self.B is not None):
             raise ValueError("white noise takes no coloring matrices")
+        for name, m in (("A", self.A), ("B", self.B)):
+            if m is not None and not np.isfinite(m).all():
+                raise ValueError(f"coloring matrix {name} must be finite")
 
     @classmethod
     def white(cls) -> "NoiseSpec":
@@ -195,6 +198,18 @@ class Dataset:
                 self.support = sup
             elif not np.array_equal(np.sort(self.support), sup):
                 raise ValueError("support does not match the nonzeros of mu")
+
+
+def _require_finite_cells(X: np.ndarray, source, names: list[str] | None = None) -> None:
+    """Reject a loaded matrix with a NaN or inf entry, naming the first one.
+
+    Rows and columns count from 0 over the data cells; ``names`` labels
+    the columns when given.
+    """
+    if not np.isfinite(X).all():
+        i, j = (int(k) for k in np.argwhere(~np.isfinite(X))[0])
+        column = j if names is None else repr(names[j])
+        raise ValueError(f"{source}: non-finite value {X[i, j]} at row {i}, column {column}")
 
 
 def gen_labels(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,9 +297,10 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Inverse of :func:`save_dataset`."""
+    """Inverse of :func:`save_dataset`. A NaN or inf cell raises ValueError."""
     path = Path(path)
     X = np.loadtxt(path, delimiter=",", ndmin=2)
+    _require_finite_cells(X, path)
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         sidecar = json.load(fh)
     if list(X.shape) != sidecar["shape"]:

@@ -36,6 +36,8 @@ __all__ = [
     "recover_sa_N",
     "recover_if_q",
     "recover_signed_pca",
+    "threshold_weighted_means",
+    "signed_weighted_means",
 ]
 
 
@@ -51,7 +53,8 @@ class RecoveryResult:
                 raise ValueError("signs must be nonzero exactly on the support")
 
 
-def _threshold_weighted_means(X: np.ndarray, labels: np.ndarray, method: str) -> RecoveryResult:
+def threshold_weighted_means(X: np.ndarray, labels: np.ndarray, method: str) -> RecoveryResult:
+    """Columns whose label-weighted mean y = X' labels / sqrt(n) has |y_j| >= sqrt(2 log p)."""
     n, p = X.shape
     y = X.T @ labels / math.sqrt(n)
     cut = math.sqrt(2 * math.log(p))
@@ -60,14 +63,12 @@ def _threshold_weighted_means(X: np.ndarray, labels: np.ndarray, method: str) ->
 
 def recover_sa_star(X: np.ndarray) -> RecoveryResult:
     """Cluster by row-sum signs, then keep columns with |y_j| >= sqrt(2 log p)."""
-    labels = simple_aggregation(X).labels
-    return _threshold_weighted_means(X, labels, "sa_star")
+    return threshold_weighted_means(X, simple_aggregation(X).labels, "sa_star")
 
 
 def recover_if_star(X: np.ndarray) -> RecoveryResult:
     """Same thresholding rule, with labels from classical PCA."""
-    labels = classical_pca(X).labels
-    return _threshold_weighted_means(X, labels, "if_star")
+    return threshold_weighted_means(X, classical_pca(X).labels, "if_star")
 
 
 def recover_sa_N(
@@ -102,16 +103,20 @@ def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
     return RecoveryResult(support=res.selected, method="if_q")
 
 
-def recover_signed_pca(X: np.ndarray) -> RecoveryResult:
-    """Signed support estimate from PCA labels.
+def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:
+    """Signed support estimate from class labels.
 
     y = X' labels / sqrt(n), so noise coordinates are unit scale;
     feature j enters with sign sgn(y_j) whenever |y_j| > 2 sqrt(log p).
     """
     n, p = X.shape
-    labels = classical_pca(X).labels
     y = X.T @ labels / math.sqrt(n)
     cut = 2.0 * math.sqrt(math.log(p))
     keep = np.abs(y) > cut
     signs = np.where(keep, np.sign(y), 0.0)
     return RecoveryResult(support=np.flatnonzero(keep), method="signed_if", signs=signs)
+
+
+def recover_signed_pca(X: np.ndarray) -> RecoveryResult:
+    """Signed support estimate from PCA labels (see signed_weighted_means)."""
+    return signed_weighted_means(X, classical_pca(X).labels)

@@ -9,6 +9,7 @@ from rareweak.cluster import (
     EnumerationBudgetError,
     classical_pca,
     default_sparsity,
+    enum_configs,
     if_pca,
     kmeans_1d_two,
     simple_aggregation,
@@ -193,6 +194,28 @@ def test_greedy_is_one_swap_optimal(signs):
         assert np.count_nonzero(w) == N
         assert improving_swap(X, w, signs) is None
         assert res.objective == pytest.approx(float(np.abs(X @ w).sum()), rel=1e-10)
+
+
+def greedy_solve(X, N, signs, seed):
+    """(support, sign pattern, objective) of the greedy search over ``signs``."""
+    if signs == (1,):
+        res = sparse_aggregation_greedy(X, N, restarts=3, seed=seed)
+        return res.selected.tolist(), [1.0] * N, res.objective
+    res = signed_sparse_aggregation(X, N, greedy=True, restarts=3, seed=seed)
+    return res.selected.tolist(), res.mu_hat[res.selected].tolist(), res.objective
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_greedy_result_independent_of_layout(signs):
+    # the search's scratch array follows X's memory layout; its result must not
+    for seed, X, N in greedy_instances():
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((X.shape[0], 2 * X.shape[1]))
+        cols = rng.permutation(wide.shape[1])[: X.shape[1]]
+        wide[:, cols] = X
+        want = greedy_solve(np.ascontiguousarray(X), N, signs, seed)
+        for Y in (np.asfortranarray(X), wide[:, cols]):
+            assert greedy_solve(Y, N, signs, seed) == want, seed
 
 
 class TestSparseAggregationGreedy:
@@ -424,6 +447,14 @@ class TestSignedSparseAggregation:
         X = np.zeros((2, 30))
         with pytest.raises(EnumerationBudgetError):
             signed_sparse_aggregation(X, N=15, budget=100)
+
+    def test_budget_charges_evaluated_pairs(self):
+        # p = N = 5: one support with 2^4 sign patterns, the first sign fixed
+        X = np.random.default_rng(75).standard_normal((6, 5))
+        assert enum_configs(5, 5, signed=True) == 16
+        assert signed_sparse_aggregation(X, N=5, budget=16).selected.tolist() == [0, 1, 2, 3, 4]
+        with pytest.raises(EnumerationBudgetError, match="16 configurations exceed the enumeration budget 15"):
+            signed_sparse_aggregation(X, N=5, budget=15)
 
 
 def kmeans_cost(values, labels):

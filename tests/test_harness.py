@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from rareweak.harness import (
+    METHODS,
+    MethodArgs,
     SweepSpec,
     TrialSpec,
     canonical_json,
@@ -119,13 +121,13 @@ class TestRunTrial:
             "classical_pca": (cluster, "classical_pca"),
             "if_pca": (cluster, "if_pca"),
             "signed_sparse_agg": (cluster, "signed_sparse_aggregation"),
-            "recover_sa_star": (recover, "recover_sa_star"),
-            "recover_if_star": (recover, "recover_if_star"),
-            "recover_sa_n": (recover, "recover_sa_N"),
+            "recover_sa_star": (cluster, "simple_aggregation"),
+            "recover_if_star": (cluster, "classical_pca"),
+            "recover_sa_n": (cluster, "sparse_aggregation_exact"),
             "recover_if_q": (recover, "recover_if_q"),
-            "recover_signed_pca": (recover, "recover_signed_pca"),
+            "recover_signed_pca": (cluster, "classical_pca"),
             "agg_chi2": (hyptest, "simple_agg_test"),
-            "sparse_agg_l1": (hyptest, "sparse_agg_test"),
+            "sparse_agg_l1": (cluster, "sparse_aggregation_exact"),
             "higher_criticism": (hyptest, "higher_criticism_test"),
         }
         seen = []
@@ -144,6 +146,11 @@ class TestRunTrial:
             spec = TrialSpec(params=ArwParams(p=120, theta=0.5, beta=0.8, alpha=0.05), methods={name: {}}, seed=2)
             assert not run_trial(spec).has_errors
             assert seen[0] == attr, name
+        # the three methods that read the unsigned greedy search share one call
+        seen.clear()
+        shared = {"sparse_agg_greedy": {}, "sparse_agg_l1": {"greedy": True}, "recover_sa_n": {"greedy": True}}
+        assert not run_trial(TrialSpec(params=spec.params, methods=shared, seed=2)).has_errors
+        assert seen.count("sparse_aggregation_greedy") == 1
 
     def test_all_method_kinds_run(self):
         spec = TrialSpec(
@@ -178,6 +185,49 @@ class TestRunTrial:
         }
         assert "signed_hamming" in rec.recovery["recover_signed_pca"]
         assert set(rec.tests) == {"agg_chi2", "sparse_agg_l1", "higher_criticism"}
+
+
+@pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])
+def test_signed_rule_charges_evaluated_pairs(budget, greedy):
+    # p = N = 5: the signed enumeration evaluates one support with 2^4 sign patterns
+    args = MethodArgs({"N": 5, "budget": budget}, ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2), seed=0)
+    assert args.greedy(signed=True) is greedy
+    assert args.greedy() is False
+
+
+SEARCHES = ("signed_sparse_agg", "recover_sa_n", "sparse_agg_l1")
+
+
+@pytest.mark.parametrize(
+    "params, options",
+    [
+        (ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1, sign_mix_a=0.5), {}),
+        (ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1), {m: {"greedy": True, "restarts": 3} for m in SEARCHES}),
+        (
+            ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1),
+            {"sparse_agg_exact": {"budget": 10}} | {m: {"greedy": False, "budget": 10} for m in SEARCHES},
+        ),
+        (
+            ArwParams(p=300, theta=0.5, beta=0.7, alpha=0.1),
+            {
+                "sparse_agg_exact": {"N": 2},
+                "sparse_agg_greedy": {"restarts": 1},
+                "sparse_agg_l1": {"greedy": True},
+                "recover_sa_n": {"greedy": True, "N": 4, "restarts": 1},
+                "signed_sparse_agg": {"greedy": True, "restarts": 1},
+            },
+        ),
+    ],
+    ids=["exact", "forced_greedy", "budget_errors", "options_differ"],
+)
+def test_shared_results_match_one_method_trials(params, options):
+    # results shared within a trial must leave every entry as its own trial records it
+    methods = {name: options.get(name, {}) for name in METHODS}
+    together = run_trial(TrialSpec(params=params, methods=methods, seed=0))
+    for name, opts in methods.items():
+        alone = run_trial(TrialSpec(params=params, methods={name: opts}, seed=0))
+        group = METHODS[name].group
+        assert getattr(together, group)[name] == getattr(alone, group)[name], name
 
 
 class TestSeedDerivation:

@@ -189,3 +189,15 @@ class TestLoaders:
         dpath.write_text("f1\n1.0\n")
         with pytest.raises(ValueError):
             load_labeled_csv(dpath)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_named(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f1,group,f2\n1.0,x,2.0\n3.0,y,{bad}\n{bad},x,6.0\n")
+        with pytest.raises(ValueError, match=f"non-finite value {bad} at row 1, column 'f2'$"):
+            load_labeled_csv(path, label_column="group")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\nx\n")
+        path.write_text(f"f1,f2\n1.0,2.0\n{bad},4.0\n5.0,{bad}\n")
+        with pytest.raises(ValueError, match=f"non-finite value {bad} at row 1, column 'f1'$"):
+            load_labeled_csv(path, labels_path=lpath)

@@ -156,6 +156,14 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             gen_dataset(params, NoiseSpec.colored(A=np.eye(3)), seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_non_finite_coloring_rejected(self, side, bad):
+        m = np.eye(4)
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match=f"coloring matrix {side} must be finite"):
+            NoiseSpec.colored(**{side: m})
+
     def test_reproducible_bitwise(self):
         params = self.params(sign_mix_a=0.25)
         a = gen_dataset(params, seed=123)
@@ -188,3 +196,12 @@ class TestSerialization:
             Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]), support=np.array([2]))
         ds = Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]))
         np.testing.assert_array_equal(ds.support, [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_named(self, tmp_path, bad):
+        ds = gen_dataset(ArwParams(p=20, theta=0.6, beta=0.4, alpha=0.25), seed=3)
+        ds.X[2, 5] = ds.X[3, 1] = bad
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        with pytest.raises(ValueError, match=r"non-finite value -?(nan|inf) at row 2, column 5$"):
+            load_dataset(path)

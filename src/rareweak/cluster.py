@@ -46,6 +46,7 @@ __all__ = [
     "sparse_aggregation_greedy",
     "classical_pca",
     "if_pca",
+    "screened_pca",
     "signed_sparse_aggregation",
     "kmeans_1d_two",
     "default_sparsity",
@@ -283,8 +284,12 @@ def if_pca(X: np.ndarray, q: float) -> ClusterResult:
 
     An empty screen falls back to classical PCA with fallback_used set.
     """
-    n, p = X.shape
-    res = select_features(chi2_scores(X), p, q)
+    return screened_pca(X, chi2_scores(X), q)
+
+
+def screened_pca(X: np.ndarray, scores: np.ndarray, q: float) -> ClusterResult:
+    """if_pca on known column scores ``scores = chi2_scores(X)``."""
+    res = select_features(scores, X.shape[1], q)
     if res.selected.size == 0:
         fallback = classical_pca(X)
         return ClusterResult(

@@ -27,11 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cluster, hyptest, recover
+from . import cluster, hyptest, recover, spectral
 from .metrics import cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
 from .model import ArwParams, Dataset, NoiseSpec, gen_dataset
 from .phase import BOUND_KINDS, PROBLEMS, classify, rho_star_theta
-from .spectral import q_star
 
 __all__ = [
     "TrialSpec",
@@ -184,7 +183,7 @@ class MethodArgs:
     def q(self) -> float:
         pr = self.params
         if self.opts.get("q") is None and pr.r is not None and 0.5 < pr.beta < 1 - pr.theta / 2:
-            return q_star(pr.theta, pr.beta, pr.r)
+            return spectral.q_star(pr.theta, pr.beta, pr.r)
         return float(self._get("q", 3.0))
 
     @property
@@ -227,7 +226,8 @@ def _unsigned_search(X: np.ndarray, a: MethodArgs, greedy: bool) -> cluster.Clus
 # Entries call the library through its module attributes, so a function
 # patched on its module (by a tracer, say) is the one that runs. Results
 # that several methods read (the unsigned search, classical PCA, the
-# row-sum labels) go through MethodArgs.once and are computed once per trial.
+# row-sum labels, the chi-square column scores) go through MethodArgs.once
+# and are computed once per trial.
 METHODS = {
     "simple_agg": Method("clustering", frozenset(), lambda X, a: a.once(cluster.simple_aggregation, X)),
     "sparse_agg_exact": Method(
@@ -237,7 +237,9 @@ METHODS = {
         "clustering", frozenset({"N", "restarts"}), lambda X, a: _unsigned_search(X, a, greedy=True)
     ),
     "classical_pca": Method("clustering", frozenset(), lambda X, a: a.once(cluster.classical_pca, X)),
-    "if_pca": Method("clustering", frozenset({"q"}), lambda X, a: cluster.if_pca(X, q=a.q)),
+    "if_pca": Method(
+        "clustering", frozenset({"q"}), lambda X, a: cluster.screened_pca(X, a.once(spectral.chi2_scores, X), a.q)
+    ),
     "signed_sparse_agg": Method(
         "clustering",
         _SEARCH_OPTIONS,
@@ -260,7 +262,9 @@ METHODS = {
         _SEARCH_OPTIONS,
         lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected, method="sa_N"),
     ),
-    "recover_if_q": Method("recovery", frozenset({"q"}), lambda X, a: recover.recover_if_q(X, q=a.q)),
+    "recover_if_q": Method(
+        "recovery", frozenset({"q"}), lambda X, a: recover.screen_support(a.once(spectral.chi2_scores, X), a.q)
+    ),
     "recover_signed_pca": Method(
         "recovery",
         frozenset(),
@@ -272,7 +276,11 @@ METHODS = {
         _SEARCH_OPTIONS,
         lambda X, a: hyptest.sparse_agg_outcome(_unsigned_search(X, a, a.greedy()).objective, *X.shape, a.N),
     ),
-    "higher_criticism": Method("tests", frozenset(), lambda X, a: hyptest.higher_criticism_test(X)),
+    "higher_criticism": Method(
+        "tests",
+        frozenset(),
+        lambda X, a: hyptest.higher_criticism_outcome(a.once(spectral.chi2_scores, X), X.shape[0]),
+    ),
 }
 
 

@@ -11,7 +11,10 @@ tuning):
   quantiles, maximized over the lower half order statistics.
 
 All three depend on the data only through column norms or column sums,
-so they are invariant under row permutations.
+so they are invariant under row permutations. HC reads its column
+norms through chi2_scores, which makes no n-by-p temporary, and
+evaluates the chi-square tail only for the half of the columns whose
+P-values it uses.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "sparse_agg_test",
     "sparse_agg_outcome",
     "higher_criticism_test",
+    "higher_criticism_outcome",
     "hc_statistic",
     "column_pvalues",
 ]
@@ -104,12 +108,14 @@ def column_pvalues(X: np.ndarray) -> np.ndarray:
     be below zero get P-value 1). A NaN or inf entry raises ValueError:
     its column's P-value would be 0 or undefined.
     """
-    n = X.shape[0]
     Q = chi2_scores(X)
     if not np.isfinite(Q).all():
         raise ValueError("X must be finite")
-    quantiles = np.maximum(n + math.sqrt(2 * n) * Q, 0.0)
-    return chisq_sf_vec(quantiles, n)
+    return _score_pvalues(Q, X.shape[0])
+
+
+def _score_pvalues(Q: np.ndarray, n: int) -> np.ndarray:
+    return chisq_sf_vec(np.maximum(n + math.sqrt(2 * n) * Q, 0.0), n)
 
 
 def hc_statistic(pvalues: np.ndarray) -> float:
@@ -119,10 +125,12 @@ def hc_statistic(pvalues: np.ndarray) -> float:
     and are skipped. Returns -inf if every term in range is skipped.
     """
     pv = np.sort(np.asarray(pvalues, dtype=float))
-    p = pv.size
-    half = p // 2
-    i = np.arange(1, half + 1)
-    ps = pv[:half]
+    return _hc_max(pv[: pv.size // 2], pv.size)
+
+
+def _hc_max(ps: np.ndarray, p: int) -> float:
+    """hc_statistic given ps, the p // 2 smallest of p P-values, sorted."""
+    i = np.arange(1, ps.size + 1)
     ok = (ps > 0.0) & (ps < 1.0)
     if not ok.any():
         return -math.inf
@@ -132,8 +140,21 @@ def hc_statistic(pvalues: np.ndarray) -> float:
 
 def higher_criticism_test(X: np.ndarray) -> TestOutcome:
     """HC of the column chi-square P-values versus 2 sqrt(2 log log p)."""
-    p = X.shape[1]
+    return higher_criticism_outcome(chi2_scores(X), X.shape[0])
+
+
+def higher_criticism_outcome(scores: np.ndarray, n: int) -> TestOutcome:
+    """higher_criticism_test on known column scores ``scores = chi2_scores(X)`` of an n-row X.
+
+    A P-value falls as its score rises, so the p // 2 smallest P-values
+    that HC reads belong to the p // 2 largest scores: only those get a
+    chi-square tail, and the statistic equals hc_statistic(column_pvalues(X)).
+    """
+    p = scores.size
     if p < 8:
         raise ValueError("need p >= 8 so that log log p is positive")
-    stat = hc_statistic(column_pvalues(X))
+    if not np.isfinite(scores).all():
+        raise ValueError("X must be finite")
+    top = np.partition(scores, p - p // 2)[p - p // 2 :]
+    stat = _hc_max(np.sort(_score_pvalues(top, n)), p)
     return _outcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))), "higher_criticism")

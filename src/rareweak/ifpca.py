@@ -69,9 +69,11 @@ def mad_normalize(X: np.ndarray) -> NormalizedMatrix:
     """Column-wise robust standardization x -> 0.6745 (x - mean) / MAD.
 
     Columns with zero MAD carry no usable spread and are dropped, each
-    with a warning record.
+    with a warning record. A NaN or inf entry raises ValueError naming
+    its row and column.
     """
     X = np.asarray(X, dtype=float)
+    _require_finite_cells(X, "mad_normalize")
     med = np.median(X, axis=0)
     mad = np.median(np.abs(X - med), axis=0)
     kept = np.flatnonzero(mad > 0)

@@ -251,6 +251,10 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
 
     The seed is split into three child streams (labels, mu, noise), so
     identical (params, noise, seed) gives a bitwise-identical dataset.
+    The signal is added to the (colored) noise matrix in place, one row
+    at a time, with the arithmetic of outer(labels, mu) + Z: the call
+    allocates no n-by-p array besides X itself (a coloring product makes
+    one more while it runs).
     """
     noise = noise or NoiseSpec.white()
     n, epsilon, tau = calibrate(params)
@@ -267,7 +271,10 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
             if noise.B.shape != (params.p, params.p):
                 raise ValueError(f"B must be {params.p}x{params.p}, got {noise.B.shape}")
             Z = Z @ noise.B
-    X = np.outer(labels, mu) + Z
+    X = Z
+    neg = -mu
+    for i, label in enumerate(labels):
+        X[i] += mu if label > 0 else neg
     return Dataset(X=X, labels=labels, mu=mu, support=support, seed=seed, params=params)
 
 

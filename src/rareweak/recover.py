@@ -36,6 +36,7 @@ __all__ = [
     "recover_sa_N",
     "recover_if_q",
     "recover_signed_pca",
+    "screen_support",
     "threshold_weighted_means",
     "signed_weighted_means",
 ]
@@ -98,9 +99,12 @@ def recover_sa_N(
 
 def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
     """Thresholded chi-square screen (same rule the clustering screen uses)."""
-    p = X.shape[1]
-    res = select_features(chi2_scores(X), p, q)
-    return RecoveryResult(support=res.selected, method="if_q")
+    return screen_support(chi2_scores(X), q)
+
+
+def screen_support(scores: np.ndarray, q: float) -> RecoveryResult:
+    """recover_if_q on known column scores ``scores = chi2_scores(X)``."""
+    return RecoveryResult(support=select_features(scores, scores.size, q).selected, method="if_q")
 
 
 def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:

@@ -68,9 +68,15 @@ class SpectralPrediction:
 
 
 def chi2_scores(X: np.ndarray) -> np.ndarray:
-    """Standardized squared column norms (mean 0, variance 1 under noise)."""
+    """Standardized squared column norms (mean 0, variance 1 under noise).
+
+    The squared norms are one ``einsum`` reduction, with no n-by-p
+    ``X * X`` temporary. On C-ordered X it accumulates row by row, like
+    ``np.sum(X * X, axis=0)``, and gives the same bits; on other layouts
+    the two may differ in the last place.
+    """
     n = X.shape[0]
-    return (np.sum(X * X, axis=0) - n) / math.sqrt(2 * n)
+    return (np.einsum("ij,ij->j", X, X) - n) / math.sqrt(2 * n)
 
 
 def screen_threshold(p: int, q: float) -> float:

@@ -112,23 +112,23 @@ class TestRunTrial:
 
     def test_entries_call_through_module_attributes(self, monkeypatch):
         # a tracer swaps module attributes; every table entry must pick the swap up
-        from rareweak import cluster, hyptest, recover
+        from rareweak import cluster, hyptest, spectral
 
         calls = {
             "simple_agg": (cluster, "simple_aggregation"),
             "sparse_agg_exact": (cluster, "sparse_aggregation_exact"),
             "sparse_agg_greedy": (cluster, "sparse_aggregation_greedy"),
             "classical_pca": (cluster, "classical_pca"),
-            "if_pca": (cluster, "if_pca"),
+            "if_pca": (spectral, "chi2_scores"),
             "signed_sparse_agg": (cluster, "signed_sparse_aggregation"),
             "recover_sa_star": (cluster, "simple_aggregation"),
             "recover_if_star": (cluster, "classical_pca"),
             "recover_sa_n": (cluster, "sparse_aggregation_exact"),
-            "recover_if_q": (recover, "recover_if_q"),
+            "recover_if_q": (spectral, "chi2_scores"),
             "recover_signed_pca": (cluster, "classical_pca"),
             "agg_chi2": (hyptest, "simple_agg_test"),
             "sparse_agg_l1": (cluster, "sparse_aggregation_exact"),
-            "higher_criticism": (hyptest, "higher_criticism_test"),
+            "higher_criticism": (spectral, "chi2_scores"),
         }
         seen = []
 
@@ -139,7 +139,7 @@ class TestRunTrial:
 
             return wrapper
 
-        for module, attr in calls.values():
+        for module, attr in set(calls.values()):  # spy once on an attribute that several entries call
             monkeypatch.setattr(module, attr, spy(getattr(module, attr), attr))
         for name, (_, attr) in calls.items():
             seen.clear()
@@ -151,6 +151,11 @@ class TestRunTrial:
         shared = {"sparse_agg_greedy": {}, "sparse_agg_l1": {"greedy": True}, "recover_sa_n": {"greedy": True}}
         assert not run_trial(TrialSpec(params=spec.params, methods=shared, seed=2)).has_errors
         assert seen.count("sparse_aggregation_greedy") == 1
+        # and the three methods that read the chi-square column scores share one pass over X
+        seen.clear()
+        screens = {"if_pca": {}, "recover_if_q": {}, "higher_criticism": {}}
+        assert not run_trial(TrialSpec(params=spec.params, methods=screens, seed=2)).has_errors
+        assert seen.count("chi2_scores") == 1
 
     def test_all_method_kinds_run(self):
         spec = TrialSpec(

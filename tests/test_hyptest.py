@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import rareweak.hyptest as ht
+from rareweak.harness import METHODS, MethodArgs
 from rareweak.model import ArwParams, gen_dataset
 from rareweak.numerics import chisq_sf
+from rareweak.spectral import chi2_scores
 
 
 class TestSimpleAggTest:
@@ -86,9 +88,10 @@ class TestSparseAggTest:
         lambda X: ht.sparse_agg_test(X, N=2),
         lambda X: ht.sparse_agg_test(X, N=3, greedy=True, restarts=2),
         ht.higher_criticism_test,
+        lambda X: METHODS["higher_criticism"].run(X, MethodArgs({}, ArwParams(p=20, theta=0.5, beta=0.5, alpha=0.1), 0)),
         ht.column_pvalues,
     ],
-    ids=["agg_chi2", "sparse_exact", "sparse_greedy", "higher_criticism", "column_pvalues"],
+    ids=["agg_chi2", "sparse_exact", "sparse_greedy", "higher_criticism", "higher_criticism_entry", "column_pvalues"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rejects_non_finite(test, bad):
@@ -154,6 +157,25 @@ class TestHigherCriticism:
     def test_rejects_tiny_p(self):
         with pytest.raises(ValueError):
             ht.higher_criticism_test(np.zeros((5, 7)))
+
+    def test_top_half_equals_all_pvalue_oracle(self):
+        # the test evaluates tails for the p // 2 largest scores only; the oracle takes every column's
+        # P-value, so any difference in which P-values enter, or in their values, breaks equality
+        rng = np.random.default_rng(2026)
+        sizes = [8, 9, 10, 63, 64, 257, 1000, 1001]
+        for k in range(240):
+            n, p = int(rng.integers(2, 80)), sizes[k % len(sizes)]
+            X = rng.standard_normal((n, p))
+            kind = k // len(sizes) % 4
+            if kind == 1:  # planted rare signal
+                X[:, rng.random(p) < 0.05] += 1.5 * rng.choice([-1.0, 1.0], size=(n, 1))
+            elif kind == 2:  # integer entries: many tied scores, some columns all zero (P-value 1)
+                X = np.round(0.7 * X)
+            elif kind == 3:  # a few columns far out: P-values that underflow to 0
+                X[:, :3] *= 40.0
+            want = ht.hc_statistic(ht.column_pvalues(X))
+            assert ht.higher_criticism_test(X).statistic == want, (k, n, p)
+            assert ht.higher_criticism_outcome(chi2_scores(X), n).statistic == want, (k, n, p)
 
 
 def test_outcome_consistency_guard():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ class TestMadNormalize:
         a = mad_normalize(X)
         b = mad_normalize(X * scale + shift)
         np.testing.assert_allclose(a.X, b.X, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_named(self, bad):
+        # an in-memory matrix skips the loader's check; its bad column must not vanish unreported
+        data = two_blob_data()
+        data.X[3, 7] = bad
+        with pytest.raises(ValueError, match=f"non-finite value {bad} at row 3, column 7$"):
+            ifpca_pipeline(data, q=0.5)
 
     def test_matches_zscore_shape(self):
         rng = np.random.default_rng(99)

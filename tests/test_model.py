@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,50 @@ class TestGenDataset:
         m[2, 1] = bad
         with pytest.raises(ValueError, match=f"coloring matrix {side} must be finite"):
             NoiseSpec.colored(**{side: m})
+
+    @staticmethod
+    def outer_product_reference(params, noise, seed):
+        """outer(labels, mu) + Z built from the same three child streams as gen_dataset."""
+        n, epsilon, tau = calibrate(params)
+        ss_labels, ss_mu, ss_noise = np.random.SeedSequence(seed).spawn(3)
+        labels = gen_labels(n, np.random.default_rng(ss_labels))
+        mu, _ = gen_mu(params.p, epsilon, tau, params.sign_mix_a, np.random.default_rng(ss_mu))
+        Z = np.random.default_rng(ss_noise).standard_normal((n, params.p))
+        if noise.A is not None:
+            Z = noise.A @ Z
+        if noise.B is not None:
+            Z = Z @ noise.B
+        return np.outer(labels, mu) + Z
+
+    @pytest.mark.parametrize(
+        "kw, coloring",
+        [({}, None), ({}, "AB"), ({}, "B"), ({"sign_mix_a": 0.5}, None), ({"sign_mix_a": 0.5}, "A"),
+         ({"alpha": math.inf}, None), ({"alpha": math.inf}, "AB")],
+        ids=["white", "colored-AB", "colored-B", "mixed-signs", "mixed-signs-colored-A", "null", "null-colored"],
+    )
+    def test_in_place_signal_matches_outer_product(self, kw, coloring):
+        params = self.params(**kw)
+        noise = NoiseSpec.white()
+        if coloring:
+            rng = np.random.default_rng(7)
+            noise = NoiseSpec.colored(
+                A=np.eye(params.n) + 0.1 * rng.standard_normal((params.n, params.n)) if "A" in coloring else None,
+                B=diagonal_coloring(params.p, 4.0) if "B" in coloring else None,
+            )
+        for seed in (0, 31):
+            ds = gen_dataset(params, noise, seed=seed)
+            assert (ds.support.size == 0) == math.isinf(params.alpha)
+            assert ds.X.tobytes() == self.outer_product_reference(params, noise, seed).tobytes()
+
+    def test_generation_holds_one_matrix(self):
+        params = ArwParams(p=20_000, theta=0.5, beta=0.4, alpha=0.2)  # n = 141
+        tracemalloc.start()
+        try:
+            ds = gen_dataset(params, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * ds.X.nbytes
 
     def test_reproducible_bitwise(self):
         params = self.params(sign_mix_a=0.25)

@@ -40,6 +40,18 @@ class TestChi2Scores:
         X = np.zeros((n, 3))
         np.testing.assert_allclose(chi2_scores(X), -math.sqrt(n / 2), rtol=1e-12)
 
+    def test_matches_product_reference(self):
+        rng = np.random.default_rng(41)
+        for n, p in [(2, 1), (7, 33), (141, 2000), (316, 5001)]:
+            X = 3.0 * rng.standard_normal((n, p))
+            # C order: einsum accumulates row by row like the reference sum, so the bits agree
+            np.testing.assert_array_equal(chi2_scores(X), (np.sum(X * X, axis=0) - n) / math.sqrt(2 * n))
+            for Y in (np.asfortranarray(X), X[:, ::3], X[:, 1:]):
+                ref = (np.sum(Y * Y, axis=0) - n) / math.sqrt(2 * n)
+                # other layouts may sum in another order; the tolerance is relative to ||x_j||^2 ~ n,
+                # since a score near 0 is a difference of two numbers of that size
+                np.testing.assert_allclose(chi2_scores(Y), ref, rtol=1e-12, atol=1e-12 * math.sqrt(n))
+
     def test_null_moments(self):
         rng = np.random.default_rng(40)
         X = rng.standard_normal((10_000, 10_000))

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 2_000_000
+_MAX_SWEEPS = 50  # cap on the greedy search's 1-swap improvement passes per restart
 
 
 class EnumerationBudgetError(ValueError):
@@ -186,7 +187,7 @@ def _best_candidate(
 
 
 def _greedy_search(
-    X: np.ndarray, N: int, signs: tuple, restarts: int, seed: int, max_sweeps: int
+    X: np.ndarray, N: int, signs: tuple, restarts: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Forward selection plus best-improvement 1-swap search over (column, sign) picks.
 
@@ -218,7 +219,7 @@ def _greedy_search(
             weights.append(s)
             running = running + s * X[:, j]
         obj = _l1_objective(running)
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             best_gain = 1e-9
             best_move = None
             for pos, i in enumerate(chosen):
@@ -261,7 +262,6 @@ def sparse_aggregation_greedy(
     N: int,
     restarts: int = 8,
     seed: int = 0,
-    max_sweeps: int = 50,
 ) -> ClusterResult:
     """Forward selection plus 1-swap local search for the N-column objective.
 
@@ -269,7 +269,7 @@ def sparse_aggregation_greedy(
     first column at random. The best objective wins, ties going to the
     lowest restart index, so results are deterministic given the seed.
     """
-    support, _, running, obj = _greedy_search(X, N, (1,), restarts, seed, max_sweeps)
+    support, _, running, obj = _greedy_search(X, N, (1,), restarts, seed)
     return ClusterResult(labels=_sgn(running), method="sparse_agg_greedy", selected=support, objective=obj)
 
 
@@ -315,7 +315,6 @@ def signed_sparse_aggregation(
     greedy: bool = False,
     restarts: int = 8,
     seed: int = 0,
-    max_sweeps: int = 50,
 ) -> ClusterResult:
     """Maximize ||X w||_1 over sign-valued N-sparse weight vectors w.
 
@@ -327,7 +326,7 @@ def signed_sparse_aggregation(
     sparse_aggregation_greedy over both signs.
     """
     if greedy:
-        support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed, max_sweeps)
+        support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed)
     else:
         support, pattern, running, obj = _exact_search(
             X, N, (1, -1), budget, "signed_sparse_aggregation(greedy=True)"

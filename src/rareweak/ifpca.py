@@ -26,7 +26,7 @@ import numpy as np
 from .cluster import kmeans_1d_two
 from .model import _require_finite_cells
 from .numerics import bh_threshold, chisq_sf_vec
-from .spectral import leading_left_singular
+from .spectral import leading_left_singular, select_features
 
 __all__ = [
     "LabeledMatrix",
@@ -157,8 +157,13 @@ def ifpca_pipeline(
     empty selection falls back to using every feature, flagged on the
     row.
 
+    The ``q`` and ``sweep`` modes keep the columns whose score is >= the
+    cut sqrt(2 q log p), through ``spectral.select_features``, and need
+    q > 0.
+
     ``normalize=False`` skips the robust standardization, for input
-    that is already unit scale. Note that standardization mostly
+    that is already unit scale; a NaN or inf entry still raises
+    ValueError naming its row and column. Note that standardization mostly
     absorbs a symmetric two-class location signal of sub-unit size (the
     variance inflation 1 + tau^2 nearly cancels against the mixture's
     inflated robust scale), so synthetic calibrated data should be run
@@ -171,27 +176,22 @@ def ifpca_pipeline(
     if normalize:
         norm = mad_normalize(data.X)
     else:
-        norm = NormalizedMatrix(
-            X=np.asarray(data.X, dtype=float),
-            kept=np.arange(data.X.shape[1]),
-            dropped=np.array([], dtype=int),
-        )
+        X = np.asarray(data.X, dtype=float)
+        _require_finite_cells(X, "ifpca_pipeline")
+        norm = NormalizedMatrix(X=X, kept=np.arange(X.shape[1]), dropped=np.array([], dtype=int))
     Xstar = norm.X
     n, p = Xstar.shape
     scores = two_sided_scores(Xstar, literal_scaling=literal_scaling)
 
-    def threshold_for(qv: float) -> np.ndarray:
-        return np.flatnonzero(scores > math.sqrt(2 * qv * math.log(p)))
-
     rows = []
     xi_out = None
     if mode == "q":
-        sel = threshold_for(q)
+        sel = select_features(scores, p, q).selected
         errors, fallback, xi_out = _cluster_selection(Xstar, sel, data.class_labels)
         rows.append(PipelineRow(q=float(q), n_selected=int(sel.size), errors=errors, fallback=fallback))
     elif mode == "sweep":
         for qv in sweep:
-            sel = threshold_for(qv)
+            sel = select_features(scores, p, qv).selected
             errors, fallback, _ = _cluster_selection(Xstar, sel, data.class_labels)
             rows.append(PipelineRow(q=float(qv), n_selected=int(sel.size), errors=errors, fallback=fallback))
     elif mode == "top_k":

@@ -22,7 +22,6 @@ import numpy as np
 from .cluster import (
     DEFAULT_ENUM_BUDGET,
     classical_pca,
-    enum_configs,
     simple_aggregation,
     sparse_aggregation_exact,
     sparse_aggregation_greedy,
@@ -75,25 +74,20 @@ def recover_if_star(X: np.ndarray) -> RecoveryResult:
 def recover_sa_N(
     X: np.ndarray,
     N: int,
-    method: str = "auto",
+    greedy: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
     restarts: int = 8,
     seed: int = 0,
 ) -> RecoveryResult:
     """Support straight from the N-column aggregation optimizer.
 
-    ``method`` is "exact", "greedy", or "auto" (exact when the
-    enumeration fits the budget, greedy otherwise).
+    Exhaustive enumeration (budget-capped) by default, the greedy search
+    with ``greedy``, as in sparse_agg_test.
     """
-    p = X.shape[1]
-    if method == "auto":
-        method = "exact" if enum_configs(p, N) <= budget else "greedy"
-    if method == "exact":
-        res = sparse_aggregation_exact(X, N, budget=budget)
-    elif method == "greedy":
+    if greedy:
         res = sparse_aggregation_greedy(X, N, restarts=restarts, seed=seed)
     else:
-        raise ValueError(f"method must be exact/greedy/auto, got {method!r}")
+        res = sparse_aggregation_exact(X, N, budget=budget)
     return RecoveryResult(support=res.selected, method="sa_N")
 
 

@@ -159,14 +159,17 @@ def pi1_normal_approx(q: float, r: float, p: int) -> float:
     return std_normal_sf((math.sqrt(q) - math.sqrt(r)) * math.sqrt(2 * math.log(p)))
 
 
-def _eigen_band(n: int, m_q: float, logp: float, q: float, qt: float, band_constant: float):
+_BAND_CONSTANT = 3.0  # half-width of the predicted noise band, in units of sqrt(n m_q log p)
+
+
+def _eigen_band(n: int, m_q: float, logp: float, q: float, qt: float):
     regime = "fat" if q < qt else "skinny"
     center = m_q if regime == "fat" else float(n)
-    half = band_constant * math.sqrt(n * m_q * logp)
+    half = _BAND_CONSTANT * math.sqrt(n * m_q * logp)
     return regime, (center - half, center + half)
 
 
-def predict_selection(params: ArwParams, q: float, band_constant: float = 3.0) -> SpectralPrediction:
+def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
     """Closed-form screen predictions under the log-adjusted calibration.
 
     pi0/pi1 are exact chi-square survival values at the screening cut
@@ -190,11 +193,11 @@ def predict_selection(params: ArwParams, q: float, band_constant: float = 3.0) -
     s = params.expected_signals
     m_q = (p - s) * pi0 + s * pi1
     qt = q_tilde(params.beta, params.theta, params.r)
-    regime, band = _eigen_band(n, m_q, logp, q, qt, band_constant)
+    regime, band = _eigen_band(n, m_q, logp, q, qt)
     return SpectralPrediction(pi0=pi0, pi1=pi1, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)
 
 
-def predict_null_selection(p: int, theta: float, q: float, band_constant: float = 3.0) -> SpectralPrediction:
+def predict_null_selection(p: int, theta: float, q: float) -> SpectralPrediction:
     """Screen predictions for pure-noise data (no signal columns at all).
 
     The crossover reduces to 1 - theta and the expected count to p * pi0.
@@ -207,5 +210,5 @@ def predict_null_selection(p: int, theta: float, q: float, band_constant: float 
     pi0 = chisq_sf(cut, n)
     m_q = p * pi0
     qt = 1 - theta
-    regime, band = _eigen_band(n, m_q, logp, q, qt, band_constant)
+    regime, band = _eigen_band(n, m_q, logp, q, qt)
     return SpectralPrediction(pi0=pi0, pi1=0.0, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)

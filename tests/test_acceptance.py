@@ -240,7 +240,7 @@ def test_criterion_6_postselection_spectrum():
     summary = {}
     ok = True
     for j, q in enumerate((0.3, 0.7)):
-        pred = predict_null_selection(p, theta, q, band_constant=3.0)
+        pred = predict_null_selection(p, theta, q)
         lo, hi = pred.eigen_range
         cut = n + 2 * math.sqrt(q * n * math.log(p))
         inside = 0

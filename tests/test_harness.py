@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,15 @@ class TestRunTrial:
         assert "enumeration budget 10" in out["forced_exact"]["error"]
         assert all("error" not in entry for label, entry in out.items() if label != "forced_exact")
 
+    def test_recover_sa_n_over_budget_runs_greedy(self):
+        # C(60, 20) is far over a budget of 1000, so the one rule picks the greedy search
+        spec = TrialSpec(
+            params=ArwParams(p=60, theta=0.5, beta=0.5, alpha=0.2), methods={"recover_sa_n": {"N": 20, "budget": 1000}}, seed=3
+        )
+        entry = run_trial(spec).recovery["recover_sa_n"]
+        assert "error" not in entry
+        assert entry["support_size"] == 20
+
     def test_entries_call_through_module_attributes(self, monkeypatch):
         # a tracer swaps module attributes; every table entry must pick the swap up
         from rareweak import cluster, hyptest, spectral
@@ -190,6 +203,26 @@ class TestRunTrial:
         }
         assert "signed_hamming" in rec.recovery["recover_signed_pca"]
         assert set(rec.tests) == {"agg_chi2", "sparse_agg_l1", "higher_criticism"}
+
+
+def test_traced_names_resolve(monkeypatch):
+    # benchmarks/run.py --trace 1 wraps these names and reads these results; a deletion must not break it
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    loader = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "benchmark_spans", spans)  # its dataclasses look their module up
+    loader.loader.exec_module(spans)
+    for module, name in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"rareweak.{module}"), name)), f"{module}.{name}"
+
+    from rareweak.cluster import if_pca
+    from rareweak.spectral import leading_left_singular
+
+    X = np.random.default_rng(5).standard_normal((6, 40))
+    _, counts = spans._counts("spectral.leading_left_singular", (X,), {}, leading_left_singular(X))
+    assert set(counts) == {"iterations", "unconverged", "gflop"}
+    _, counts = spans._counts("cluster.if_pca", (X, 0.1), {}, if_pca(X, 0.1))
+    assert counts["selected"] >= 0
 
 
 @pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])

@@ -49,12 +49,17 @@ class TestMadNormalize:
         np.testing.assert_allclose(a.X, b.X, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entry_named(self, bad):
-        # an in-memory matrix skips the loader's check; its bad column must not vanish unreported
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize(
+        "mode", [{"q": 0.5}, {"sweep": [0.1, 0.5]}, {"top_k": 3}, {"fdr": 0.05}], ids=["q", "sweep", "top_k", "fdr"]
+    )
+    def test_non_finite_entry_named(self, bad, normalize, mode):
+        # an in-memory matrix skips the loader's check; its bad column must not vanish unreported,
+        # with or without the robust standardization
         data = two_blob_data()
         data.X[3, 7] = bad
         with pytest.raises(ValueError, match=f"non-finite value {bad} at row 3, column 7$"):
-            ifpca_pipeline(data, q=0.5)
+            ifpca_pipeline(data, normalize=normalize, **mode)
 
     def test_matches_zscore_shape(self):
         rng = np.random.default_rng(99)
@@ -101,6 +106,13 @@ class TestPipeline:
         rep = ifpca_pipeline(data, sweep=[0.1, 0.5, 2.0])
         assert [r.q for r in rep.rows] == [0.1, 0.5, 2.0]
         assert len(rep.rows) == 3
+
+    @pytest.mark.parametrize(
+        "mode", [{"q": 0.0}, {"q": -1.0}, {"sweep": [0.5, 0.0]}, {"sweep": [-1.0]}], ids=["q0", "q-1", "sweep0", "sweep-1"]
+    )
+    def test_q_must_be_positive(self, mode):
+        with pytest.raises(ValueError, match="q must be positive"):
+            ifpca_pipeline(two_blob_data(), **mode)
 
     def test_empty_selection_falls_back(self):
         rng = np.random.default_rng(102)

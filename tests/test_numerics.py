@@ -93,14 +93,43 @@ class TestChisqSf:
             chisq_sf(math.nan, 3)
         with pytest.raises(ValueError):
             chisq_sf_vec(np.array([1.0, math.nan]), 3)
+        for dof in (np.array([3, 0]), np.array([3, 2.5]), np.array([3.0, math.inf])):
+            with pytest.raises(ValueError, match="dof must be a positive integer"):
+                chisq_sf_vec(1.0, dof)
 
-    def test_vectorized_matches_scalar(self):
+    def test_vectorized_scipy_oracle_random(self):
         rng = np.random.default_rng(7)
         for dof in (1, 40, 500):
             xs = rng.uniform(0.0, dof + 35 * math.sqrt(dof), size=400)
-            got = chisq_sf_vec(xs, dof)
-            want = np.array([chisq_sf(float(x), dof) for x in xs])
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(chisq_sf_vec(xs, dof), sps.chi2.sf(xs, dof), rtol=1e-10, atol=1e-300)
+
+    def test_array_dof_matches_scalar_dof(self):
+        rng = np.random.default_rng(8)
+        dofs = rng.integers(1, 600, size=(50, 1))
+        xs = rng.uniform(0.0, 800.0, size=(1, 40))
+        got = chisq_sf_vec(xs, dofs)
+        assert got.shape == (50, 40)
+        for row, dof in zip(got, dofs[:, 0]):
+            assert np.array_equal(row, chisq_sf_vec(xs[0], int(dof)))
+
+    # values of the engine before array dof was added; scalar dof must keep every bit
+    PINNED = {
+        100: (
+            [0.0, 1.5, 25.0, 80.0, 99.0, 101.9, 102.5, 142.426, 241.421, 500.0],
+            [1.0, 1.0, 0.9999999999999989, 0.9296649333406064, 0.509472198798378, 0.4283417171776599,
+             0.4120050049993932, 0.0034369342002823636, 1.0464520078796497e-13, 1.7201210053694655e-54],
+        ),
+        251: (
+            [0.0, 1.5, 62.75, 231.0, 250.0, 252.9, 253.5, 318.216, 475.054, 884.719],
+            [1.0, 1.0, 1.0, 0.8126103846074654, 0.5059524913940256, 0.45448814733927556,
+             0.44395550243893916, 0.0025813651176530283, 5.154406226091619e-16, 1.5917162496739395e-71],
+        ),
+    }
+
+    @pytest.mark.parametrize("dof", sorted(PINNED))
+    def test_pinned_values(self, dof):
+        xs, want = self.PINNED[dof]
+        assert chisq_sf_vec(np.array(xs), dof).tolist() == want
 
     def test_vectorized_scipy_oracle(self):
         xs = np.linspace(0.0, 400.0, 1001)
@@ -108,11 +137,13 @@ class TestChisqSf:
 
 
 class TestNoncentralChisqSf:
-    @pytest.mark.parametrize("dof,lam", [(10, 0.5), (40, 25.9), (100, 3.0), (251, 80.0)])
+    @pytest.mark.parametrize(
+        "dof,lam", [(10, 0.5), (40, 25.9), (100, 3.0), (251, 80.0), (251, 2000.0), (1000, 500.0)]
+    )
     def test_scipy_oracle(self, dof, lam):
         for x in np.linspace(0.5, dof + lam + 30 * math.sqrt(dof + lam), 41):
             want = sps.ncx2.sf(x, dof, lam)
-            assert noncentral_chisq_sf(float(x), dof, lam) == pytest.approx(want, rel=1e-8, abs=1e-14)
+            assert noncentral_chisq_sf(float(x), dof, lam) == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_zero_noncentrality_is_central(self):
         assert noncentral_chisq_sf(12.3, 9, 0.0) == chisq_sf(12.3, 9)

@@ -33,7 +33,7 @@ from .harness import (
 )
 from .ifpca import baseline_kmeans, ifpca_pipeline, load_labeled_csv
 from .model import ArwParams
-from .phase import PhaseQuery, boundary
+from .phase import BOUND_KINDS, PROBLEMS, VARIANTS, PhaseQuery, boundary
 
 EXIT_OK = 0
 EXIT_BAD_SPEC = 2
@@ -71,9 +71,9 @@ def _add_sweep(sub):
 
 def _add_boundary(sub):
     p = sub.add_parser("boundary", help="emit a phase-boundary curve as CSV")
-    p.add_argument("--problem", default="clustering", choices=("clustering", "signal_recovery", "hypothesis_testing"))
-    p.add_argument("--kind", default="statistical", choices=("statistical", "ctub"))
-    p.add_argument("--variant", default="one_sided", choices=("one_sided", "signed"))
+    p.add_argument("--problem", default="clustering", choices=PROBLEMS)
+    p.add_argument("--kind", default="statistical", choices=BOUND_KINDS)
+    p.add_argument("--variant", default="one_sided", choices=VARIANTS)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--grid", type=int, default=200, help="number of beta grid points")
     p.add_argument("--out", type=Path)
@@ -138,7 +138,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_simulate(ns) -> int:
     try:
         spec = _spec_from_flags(ns)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     record = run_trial(spec)
@@ -156,7 +156,7 @@ def cmd_simulate(ns) -> int:
 def cmd_sweep(ns) -> int:
     try:
         sweep = SweepSpec.from_dict(json.loads(ns.spec.read_text()))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     result = run_sweep(sweep, workers=ns.workers)
@@ -199,10 +199,13 @@ def cmd_ifpca(ns) -> int:
     if ns.sweep is not None:
         try:
             start, stop, step = (float(v) for v in ns.sweep.split(":"))
+            grid = list(np.arange(start, stop + 1e-12, step)) if step > 0 else []
         except ValueError:
-            print("bad --sweep, expected start:stop:step", file=sys.stderr)
+            grid = []
+        if not grid:
+            print("bad --sweep, expected start:stop:step with step > 0 and start <= stop", file=sys.stderr)
             return EXIT_BAD_SPEC
-        kwargs["sweep"] = list(np.arange(start, stop + 1e-12, step))
+        kwargs["sweep"] = grid
     elif ns.q is not None:
         kwargs["q"] = ns.q
     elif ns.fdr is not None:

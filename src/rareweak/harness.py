@@ -19,18 +19,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import cluster, hyptest, recover, spectral
+from . import cluster, hyptest, metrics, recover, spectral
 from .metrics import cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
-from .model import ArwParams, Dataset, NoiseSpec, gen_dataset
-from .phase import BOUND_KINDS, PROBLEMS, classify, rho_star_theta
+from .model import ArwParams, Dataset, NoiseSpec, _field, gen_dataset
+from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
 
 __all__ = [
     "TrialSpec",
@@ -73,6 +74,8 @@ def _check_methods(methods: dict) -> None:
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}; available: {sorted(METHODS)}")
     for name, opts in methods.items():
+        if not isinstance(opts, (dict, type(None))):
+            raise ValueError(f"options of method {name!r} must be an object, got {type(opts).__name__}")
         bad = sorted(set(opts or {}) - METHODS[name].options)
         if bad:
             raise ValueError(f"method {name!r} does not accept {bad}; it accepts {sorted(METHODS[name].options)}")
@@ -103,16 +106,18 @@ class TrialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialSpec":
-        noise_d = d.get("noise", {"kind": "white"})
+        """Inverse of to_dict; a non-object, or a missing or ill-typed field, raises ValueError."""
+        noise_d = _field(d, "noise", dict, {"kind": "white"})
+        A, B = (_field(noise_d, key, (list, type(None)), None) for key in ("A", "B"))
         noise = NoiseSpec(
-            kind=noise_d["kind"],
-            A=None if noise_d.get("A") is None else np.asarray(noise_d["A"], dtype=float),
-            B=None if noise_d.get("B") is None else np.asarray(noise_d["B"], dtype=float),
+            kind=_field(noise_d, "kind", str),
+            A=None if A is None else np.asarray(A, dtype=float),
+            B=None if B is None else np.asarray(B, dtype=float),
         )
         return cls(
-            params=ArwParams.from_dict(d["params"]),
-            methods=d["methods"],
-            seed=int(d["seed"]),
+            params=ArwParams.from_dict(_field(d, "params", dict)),
+            methods=_field(d, "methods", dict),
+            seed=int(_field(d, "seed", numbers.Real)),
             noise=noise,
         )
 
@@ -359,13 +364,7 @@ def paired_test_error(params_alt: ArwParams, test_name: str, opts: dict | None, 
     """
     if test_name not in METHODS or METHODS[test_name].group != "tests":
         raise ValueError(f"unknown test {test_name!r}")
-    params_null = ArwParams(
-        p=params_alt.p,
-        theta=params_alt.theta,
-        beta=params_alt.beta,
-        alpha=math.inf,
-        sign_mix_a=params_alt.sign_mix_a,
-    )
+    params_null = replace(params_alt, alpha=math.inf, r=None)
     methods = {test_name: opts or {}}
     null_d, alt_d = [], []
     for seed in seeds:
@@ -373,9 +372,7 @@ def paired_test_error(params_alt: ArwParams, test_name: str, opts: dict | None, 
         null_d.append(rec.tests[test_name]["reject"])
         rec = run_trial(TrialSpec(params=params_alt, methods=methods, seed=int(seed)))
         alt_d.append(rec.tests[test_name]["reject"])
-    from .metrics import empirical_test_error
-
-    return empirical_test_error(null_d, alt_d)
+    return metrics.empirical_test_error(null_d, alt_d)
 
 
 @dataclass(frozen=True)
@@ -424,28 +421,32 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        """Inverse of to_dict; a non-object, or a missing or ill-typed field, raises ValueError."""
+        real, seq = numbers.Real, (list, tuple)
         return cls(
-            p=int(d["p"]),
-            theta=float(d["theta"]),
-            betas=tuple(d["betas"]),
-            strength_kind=d["strength_kind"],
-            strengths=tuple(d["strengths"]),
-            reps=int(d.get("reps", 20)),
-            methods=d.get("methods", {"simple_agg": {}}),
-            master_seed=int(d.get("master_seed", 0)),
-            sign_mix_a=float(d.get("sign_mix_a", 0.0)),
-            ratio_reference=tuple(d.get("ratio_reference", ("clustering", "statistical"))),
+            p=int(_field(d, "p", real)),
+            theta=float(_field(d, "theta", real)),
+            betas=tuple(_field(d, "betas", seq)),
+            strength_kind=_field(d, "strength_kind", str),
+            strengths=tuple(_field(d, "strengths", seq)),
+            reps=int(_field(d, "reps", real, 20)),
+            methods=_field(d, "methods", dict, {"simple_agg": {}}),
+            master_seed=int(_field(d, "master_seed", real, 0)),
+            sign_mix_a=float(_field(d, "sign_mix_a", real, 0.0)),
+            ratio_reference=tuple(_field(d, "ratio_reference", seq, ("clustering", "statistical"))),
         )
+
+    @property
+    def variant(self) -> str:
+        """Phase-curve variant of the sweep's sign mix: balanced signs are 'signed'."""
+        return "signed" if self.sign_mix_a == 0.5 else "one_sided"
 
     def cell_params(self, beta: float, strength: float) -> ArwParams:
         if self.strength_kind == "r":
             return ArwParams(p=self.p, theta=self.theta, beta=beta, r=strength, sign_mix_a=self.sign_mix_a)
         if self.strength_kind == "alpha_ratio":
-            from .phase import PhaseQuery, boundary
-
             problem, kind = self.ratio_reference
-            variant = "signed" if self.sign_mix_a == 0.5 else "one_sided"
-            ref = boundary(PhaseQuery(problem, kind, variant, self.theta, beta)).alpha_boundary
+            ref = boundary(PhaseQuery(problem, kind, self.variant, self.theta, beta)).alpha_boundary
             strength = strength * ref
         return ArwParams(p=self.p, theta=self.theta, beta=beta, alpha=strength, sign_mix_a=self.sign_mix_a)
 
@@ -504,12 +505,11 @@ def _aggregate_cell(records: list[TrialRecord]) -> dict:
 
 
 def _classify_cell(sweep: SweepSpec, beta: float, params: ArwParams) -> dict:
-    variant = "signed" if sweep.sign_mix_a == 0.5 else "one_sided"
     regions = {}
     if params.alpha is not None and not math.isinf(params.alpha):
         for problem in PROBLEMS:
             for kind in BOUND_KINDS:
-                regions[f"{problem}:{kind}"] = classify(problem, kind, variant, sweep.theta, beta, params.alpha)
+                regions[f"{problem}:{kind}"] = classify(problem, kind, sweep.variant, sweep.theta, beta, params.alpha)
     elif params.r is not None and 0.5 < beta < 1 - sweep.theta / 2:
         rho = rho_star_theta(sweep.theta, beta)
         if abs(params.r - rho) <= 1e-12:

@@ -113,7 +113,6 @@ class PipelineReport:
     rows: list[PipelineRow]
     dropped_features: int
     warnings: list[str]
-    singular_vector: np.ndarray | None = None
 
 
 def _errors_against_labels(pred: np.ndarray, class_labels: np.ndarray) -> int:
@@ -121,14 +120,6 @@ def _errors_against_labels(pred: np.ndarray, class_labels: np.ndarray) -> int:
     truth = np.where(class_labels == names[0], -1, 1)
     direct = int(np.sum(pred != truth))
     return min(direct, truth.size - direct)
-
-
-def _cluster_selection(Xstar: np.ndarray, selected: np.ndarray, class_labels: np.ndarray):
-    fallback = selected.size == 0
-    sub = Xstar if fallback else Xstar[:, selected]
-    xi = leading_left_singular(sub).vector
-    pred = kmeans_1d_two(xi)
-    return _errors_against_labels(pred, class_labels), fallback, xi
 
 
 def _null_two_sided_pvalues(scores: np.ndarray, n: int, literal_scaling: bool) -> np.ndarray:
@@ -153,9 +144,9 @@ def ifpca_pipeline(
     Exactly one threshold mode: ``q`` (fixed exponent), ``fdr`` (rate
     for the step-up rule on analytic null P-values of the two-sided
     statistic), ``top_k`` (exact selected-feature count, largest scores
-    first), or ``sweep`` (list of q values, one report row each). An
-    empty selection falls back to using every feature, flagged on the
-    row.
+    first), or ``sweep`` (nonempty list of q values, one report row
+    each). An empty selection falls back to using every feature, flagged
+    on the row.
 
     The ``q`` and ``sweep`` modes keep the columns whose score is >= the
     cut sqrt(2 q log p), through ``spectral.select_features``, and need
@@ -173,6 +164,8 @@ def ifpca_pipeline(
     if len(modes) != 1:
         raise ValueError(f"exactly one of q/fdr/top_k/sweep is required, got {modes}")
     mode = modes[0]
+    if mode == "sweep" and len(sweep) == 0:
+        raise ValueError("sweep needs at least one q value")
     if normalize:
         norm = mad_normalize(data.X)
     else:
@@ -183,39 +176,25 @@ def ifpca_pipeline(
     n, p = Xstar.shape
     scores = two_sided_scores(Xstar, literal_scaling=literal_scaling)
 
-    rows = []
-    xi_out = None
-    if mode == "q":
-        sel = select_features(scores, p, q).selected
-        errors, fallback, xi_out = _cluster_selection(Xstar, sel, data.class_labels)
-        rows.append(PipelineRow(q=float(q), n_selected=int(sel.size), errors=errors, fallback=fallback))
-    elif mode == "sweep":
-        for qv in sweep:
-            sel = select_features(scores, p, qv).selected
-            errors, fallback, _ = _cluster_selection(Xstar, sel, data.class_labels)
-            rows.append(PipelineRow(q=float(qv), n_selected=int(sel.size), errors=errors, fallback=fallback))
-    elif mode == "top_k":
+    # each mode resolves its cuts as (q reported on the row, selected columns)
+    if mode == "top_k":
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, {p}]")
         order = np.argsort(-scores, kind="stable")
-        sel = np.sort(order[:top_k])
         implied_q = float(scores[order[top_k - 1]] ** 2 / (2 * math.log(p)))
-        errors, fallback, xi_out = _cluster_selection(Xstar, sel, data.class_labels)
-        rows.append(PipelineRow(q=implied_q, n_selected=int(sel.size), errors=errors, fallback=fallback))
-    else:  # fdr
+        cuts = [(implied_q, np.sort(order[:top_k]))]
+    elif mode == "fdr":
         pv = _null_two_sided_pvalues(scores, n, literal_scaling)
-        k = bh_threshold(pv, fdr)
-        order = np.argsort(pv, kind="stable")
-        sel = np.sort(order[:k])
-        errors, fallback, xi_out = _cluster_selection(Xstar, sel, data.class_labels)
-        rows.append(PipelineRow(q=None, n_selected=int(sel.size), errors=errors, fallback=fallback))
-    return PipelineReport(
-        mode=mode,
-        rows=rows,
-        dropped_features=int(norm.dropped.size),
-        warnings=norm.warnings,
-        singular_vector=xi_out,
-    )
+        cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]
+    else:
+        cuts = [(float(qv), select_features(scores, p, qv).selected) for qv in ([q] if mode == "q" else sweep)]
+    rows = []
+    for row_q, sel in cuts:
+        fallback = sel.size == 0
+        xi = leading_left_singular(Xstar if fallback else Xstar[:, sel]).vector
+        errors = _errors_against_labels(kmeans_1d_two(xi), data.class_labels)
+        rows.append(PipelineRow(q=row_q, n_selected=int(sel.size), errors=errors, fallback=fallback))
+    return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=norm.warnings)
 
 
 def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_iter: int = 200) -> int:

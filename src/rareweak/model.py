@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,31 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
+
+
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, kind, default=_REQUIRED):
+    """d[key] from a parsed JSON object, checked to be a ``kind``; ``default`` when absent.
+
+    Raises ValueError when d is not an object, or the field is ill-typed
+    or missing without a default.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    if not isinstance(d[key], kind):
+        raise ValueError(f"field {key!r} has type {type(d[key]).__name__}")
+    return d[key]
+
+
+def _sample_size(p: int, theta: float) -> int:
+    """n = round(p^theta), ties rounded half up."""
+    return int(math.floor(p**theta + 0.5))
 
 
 @dataclass(frozen=True)
@@ -70,7 +96,7 @@ class ArwParams:
 
     @property
     def n(self) -> int:
-        return int(math.floor(self.p**self.theta + 0.5))  # ties round half up
+        return _sample_size(self.p, self.theta)
 
     @property
     def epsilon(self) -> float:
@@ -98,16 +124,15 @@ class ArwParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArwParams":
-        alpha = d.get("alpha")
-        if alpha == "inf":
-            alpha = math.inf
+        alpha = _field(d, "alpha", (numbers.Real, str, type(None)), None)
+        r = _field(d, "r", (numbers.Real, type(None)), None)
         return cls(
-            p=int(d["p"]),
-            theta=float(d["theta"]),
-            beta=float(d["beta"]),
-            alpha=None if alpha is None else float(alpha),
-            r=None if d.get("r") is None else float(d["r"]),
-            sign_mix_a=float(d.get("sign_mix_a", 0.0)),
+            p=int(_field(d, "p", numbers.Real)),
+            theta=float(_field(d, "theta", numbers.Real)),
+            beta=float(_field(d, "beta", numbers.Real)),
+            alpha=None if alpha is None else (math.inf if alpha == "inf" else float(alpha)),
+            r=None if r is None else float(r),
+            sign_mix_a=float(_field(d, "sign_mix_a", numbers.Real, 0.0)),
         )
 
 

@@ -113,7 +113,7 @@ def _continued_fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        done = ~(np.abs(delta - 1.0) >= _GAMMA_TOL)  # a NaN step (x = inf) stops too
+        done = ~(np.abs(delta - 1.0) >= _GAMMA_TOL)  # a NaN step stops too
         if done.any():
             out[pos[done]] = h[done]
             keep = ~done
@@ -123,14 +123,14 @@ def _continued_fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_q(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(a, x) for x >= 0, entrywise."""
-    out = np.ones_like(x)
+    """Regularized upper incomplete gamma Q(a, x) for x >= 0, entrywise; Q(a, inf) = 0."""
+    out = np.where(x == np.inf, 0.0, 1.0)
     ser = (x > 0.0) & (x < a + 1.0)
     xs, s = x[ser], a[ser]
     log_p = s * np.log(xs) - xs - _lgamma(s) + np.log(_power_series(s, xs))
     out[ser] = 1.0 - np.exp(np.minimum(log_p, 0.0))
 
-    cfm = x >= a + 1.0
+    cfm = (x >= a + 1.0) & (x < np.inf)
     xc, s = x[cfm], a[cfm]
     log_q = s * np.log(xc) - xc - _lgamma(s) + np.log(_continued_fraction(s, xc))
     out[cfm] = np.where(log_q > -745.0, np.exp(np.minimum(log_q, 0.0)), 0.0)

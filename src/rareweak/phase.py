@@ -137,25 +137,31 @@ def _recovery_ctub(theta, beta, signed):
     return _pick(beta, pieces)
 
 
-def _hyp_stat_one_sided(theta, beta):
+def _above_simple_agg(theta, beta, value, segment):
+    """The larger of the simple-aggregation line and another line (value, segment).
+
+    Within _BREAK_EPS of their crossing the segment is 'breakpoint'.
+    """
     eta1 = (2 + theta - 4 * beta) / 4
-    eta2 = min(theta / 2, (1 + theta - beta) / 4)
-    if abs(eta1 - eta2) <= _BREAK_EPS:
-        return max(eta1, eta2), "breakpoint"
-    if eta1 > eta2:
+    if abs(eta1 - value) <= _BREAK_EPS:
+        return max(eta1, value), "breakpoint"
+    if eta1 > value:
         return eta1, "simple_agg"
-    if theta / 2 <= (1 + theta - beta) / 4:
-        return eta2, "sparse_agg_flat"
-    return eta2, "sparse_agg_sloped"
+    return value, segment
 
 
-def _hyp_stat_signed(theta, beta):
-    pieces = [
-        ((1 - theta) / 2, (1 + theta - 2 * beta) / 4, "pca_left"),
-        (1 - theta, theta / 2, "sparse_agg_flat"),
-        (1.0, (1 + theta - beta) / 4, "sparse_agg_sloped"),
-    ]
-    return _pick(beta, pieces)
+def _hyp_stat(theta, beta, signed):
+    if signed:
+        pieces = [
+            ((1 - theta) / 2, (1 + theta - 2 * beta) / 4, "pca_left"),
+            (1 - theta, theta / 2, "sparse_agg_flat"),
+            (1.0, (1 + theta - beta) / 4, "sparse_agg_sloped"),
+        ]
+        return _pick(beta, pieces)
+    sloped = (1 + theta - beta) / 4
+    if theta / 2 <= sloped:
+        return _above_simple_agg(theta, beta, theta / 2, "sparse_agg_flat")
+    return _above_simple_agg(theta, beta, sloped, "sparse_agg_sloped")
 
 
 def _hyp_ctub(theta, beta, signed):
@@ -165,12 +171,7 @@ def _hyp_ctub(theta, beta, signed):
             (1.0, theta / 4, "hc_flat"),
         ]
         return _pick(beta, pieces)
-    eta1 = (2 + theta - 4 * beta) / 4
-    if abs(eta1 - theta / 4) <= _BREAK_EPS:
-        return max(eta1, theta / 4), "breakpoint"
-    if eta1 > theta / 4:
-        return eta1, "simple_agg"
-    return theta / 4, "hc_flat"
+    return _above_simple_agg(theta, beta, theta / 4, "hc_flat")
 
 
 _CURVES = {
@@ -178,21 +179,15 @@ _CURVES = {
     ("clustering", "ctub"): _clustering_ctub,
     ("signal_recovery", "statistical"): _recovery_stat,
     ("signal_recovery", "ctub"): _recovery_ctub,
+    ("hypothesis_testing", "statistical"): _hyp_stat,
     ("hypothesis_testing", "ctub"): _hyp_ctub,
 }
 
 
 def boundary(query: PhaseQuery) -> PhaseAnswer:
     """Exact boundary value and active segment for one phase-plane query."""
-    signed = query.variant == "signed"
-    if query.problem == "hypothesis_testing" and query.bound_kind == "statistical":
-        value, segment = (
-            _hyp_stat_signed(query.theta, query.beta)
-            if signed
-            else _hyp_stat_one_sided(query.theta, query.beta)
-        )
-    else:
-        value, segment = _CURVES[(query.problem, query.bound_kind)](query.theta, query.beta, signed)
+    curve = _CURVES[(query.problem, query.bound_kind)]
+    value, segment = curve(query.theta, query.beta, query.variant == "signed")
     return PhaseAnswer(alpha_boundary=value, segment=segment)
 
 
@@ -231,18 +226,12 @@ def hypothesis_segment_count(theta: float, bound_kind: str = "statistical", vari
     """Number of distinct line segments making up the testing boundary.
 
     Counted by walking a fine beta grid and collapsing consecutive
-    repeats of the active-segment label.
+    repeats of the active-segment label. Arguments are checked as in
+    PhaseQuery.
     """
     labels = []
     for i in range(1, 20_000):
-        b = i / 20_000
-        _, seg = (
-            _hyp_stat_signed(theta, b)
-            if (bound_kind, variant) == ("statistical", "signed")
-            else _hyp_stat_one_sided(theta, b)
-            if bound_kind == "statistical"
-            else _hyp_ctub(theta, b, variant == "signed")
-        )
+        seg = boundary(PhaseQuery("hypothesis_testing", bound_kind, variant, theta, i / 20_000)).segment
         if seg != "breakpoint" and (not labels or labels[-1] != seg):
             labels.append(seg)
     return len(labels)

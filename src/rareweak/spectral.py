@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArwParams
+from .model import ArwParams, _sample_size
 from .numerics import chisq_sf, noncentral_chisq_sf, std_normal_sf
 
 __all__ = [
@@ -162,11 +162,22 @@ def pi1_normal_approx(q: float, r: float, p: int) -> float:
 _BAND_CONSTANT = 3.0  # half-width of the predicted noise band, in units of sqrt(n m_q log p)
 
 
-def _eigen_band(n: int, m_q: float, logp: float, q: float, qt: float):
+def _prediction(n: int, p: int, q: float, s: float, lam: float, qt: float) -> SpectralPrediction:
+    """Screen predictions for n samples and p columns, s of them signal with noncentrality lam.
+
+    The screen keeps a column whose squared norm clears n + 2 sqrt(q n log p).
+    With s = 0 there are no signal columns and pi1 is 0.
+    """
+    logp = math.log(p)
+    cut = n + 2 * math.sqrt(q * n * logp)
+    pi0 = chisq_sf(cut, n)
+    pi1 = noncentral_chisq_sf(cut, n, lam) if s else 0.0
+    m_q = (p - s) * pi0 + s * pi1
     regime = "fat" if q < qt else "skinny"
     center = m_q if regime == "fat" else float(n)
     half = _BAND_CONSTANT * math.sqrt(n * m_q * logp)
-    return regime, (center - half, center + half)
+    band = (center - half, center + half)
+    return SpectralPrediction(pi0=pi0, pi1=pi1, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)
 
 
 def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
@@ -183,18 +194,8 @@ def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
         raise ValueError("q must be positive")
     if params.r is None:
         raise ValueError("predict_selection needs the log-adjusted (r) calibration")
-    n = params.n
-    p = params.p
-    logp = math.log(p)
-    cut = n + 2 * math.sqrt(q * n * logp)
-    pi0 = chisq_sf(cut, n)
-    lam = n * params.tau**2
-    pi1 = noncentral_chisq_sf(cut, n, lam)
-    s = params.expected_signals
-    m_q = (p - s) * pi0 + s * pi1
     qt = q_tilde(params.beta, params.theta, params.r)
-    regime, band = _eigen_band(n, m_q, logp, q, qt)
-    return SpectralPrediction(pi0=pi0, pi1=pi1, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)
+    return _prediction(params.n, params.p, q, params.expected_signals, params.n * params.tau**2, qt)
 
 
 def predict_null_selection(p: int, theta: float, q: float) -> SpectralPrediction:
@@ -204,11 +205,4 @@ def predict_null_selection(p: int, theta: float, q: float) -> SpectralPrediction
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    n = int(math.floor(p**theta + 0.5))
-    logp = math.log(p)
-    cut = n + 2 * math.sqrt(q * n * logp)
-    pi0 = chisq_sf(cut, n)
-    m_q = p * pi0
-    qt = 1 - theta
-    regime, band = _eigen_band(n, m_q, logp, q, qt)
-    return SpectralPrediction(pi0=pi0, pi1=0.0, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)
+    return _prediction(_sample_size(p, theta), p, q, 0, 0.0, 1 - theta)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,10 +48,28 @@ class TestSimulateCommand:
         assert "hamming" in payload["clustering"]["simple_agg"]
         assert "reject" in payload["tests"]["agg_chi2"]
 
-    def test_invalid_spec_exit_2(self, capsys):
-        code, _, err = run_cli(["simulate", "--p", "300"], capsys)
+    PARAMS = {"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15}
+
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [
+            (None, "alpha"),
+            ({"params": PARAMS, "seed": 1}, "methods"),
+            ({"methods": {"simple_agg": {}}, "seed": 1}, "params"),
+            ([{"params": PARAMS, "methods": {"simple_agg": {}}, "seed": 1}], "JSON object"),
+            ({"params": PARAMS, "methods": {"signed_sparse_agg": ["N"]}, "seed": 1}, "signed_sparse_agg"),
+        ],
+        ids=["flags", "no_methods", "no_params", "top_level_list", "options_not_object"],
+    )
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):
+        args = ["simulate", "--p", "300"]
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            args = ["simulate", "--spec", str(path)]
+        code, _, err = run_cli(args, capsys)
         assert code == 2
-        assert "alpha" in err
+        assert err.startswith("invalid spec:") and needle in err
 
     def test_partial_failure_exit_3(self, tmp_path, capsys):
         spec = {
@@ -145,11 +164,22 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "result.csv").read_text())))
         assert len(rows) == 2
 
-    def test_bad_spec_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "sweep.json"
-        path.write_text('{"p": 300}')
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda spec: {"p": 300}, "theta"),
+            (lambda spec: {**spec, "betas": 0.3}, "betas"),
+            (lambda spec: [spec], "JSON object"),
+            (lambda spec: {**spec, "p": math.inf}, "infinity"),
+        ],
+        ids=["missing_fields", "betas_not_list", "top_level_list", "p_infinite"],
+    )
+    def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):
+        path = self.sweep_spec(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         code, _, err = run_cli(["sweep", "--spec", str(path)], capsys)
         assert code == 2
+        assert err.startswith("invalid sweep spec:") and needle in err
 
     @pytest.mark.parametrize("methods", [{"if_pca": {"Q": 0.1}}, {"magic": {}}], ids=["bad_option", "unknown"])
     def test_bad_methods_exit_2(self, tmp_path, capsys, methods):
@@ -195,6 +225,13 @@ class TestIfpcaCommand:
         )
         assert code == 0
         assert len(json.loads(out)["rows"]) == 3
+
+    @pytest.mark.parametrize("grid", ["1:0:1", "0.5:1:0", "0.5:1:-0.1", "a:b:c", "0.5:1"])
+    def test_bad_sweep_grid_exit_2(self, tmp_path, capsys, grid):
+        dpath, lpath = self.data_files(tmp_path)
+        code, out, err = run_cli(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--sweep", grid], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("bad --sweep")
 
     def test_missing_data_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(

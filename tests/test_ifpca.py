@@ -6,6 +6,7 @@ import pytest
 from rareweak.cluster import if_pca
 from rareweak.ifpca import (
     LabeledMatrix,
+    PipelineRow,
     baseline_kmeans,
     ifpca_pipeline,
     load_labeled_csv,
@@ -113,6 +114,33 @@ class TestPipeline:
     def test_q_must_be_positive(self, mode):
         with pytest.raises(ValueError, match="q must be positive"):
             ifpca_pipeline(two_blob_data(), **mode)
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="sweep"):
+            ifpca_pipeline(two_blob_data(), sweep=[])
+
+    # (mode, [PipelineRow fields (q, n_selected, errors, fallback)]), recorded from the
+    # implementation that clustered and built the rows in one branch per mode
+    PINNED_ROWS = [
+        ({"q": 0.5}, [(0.5, 8, 12, False)]),
+        ({"fdr": 0.2}, [(None, 8, 12, False)]),
+        ({"top_k": 6}, [(1.0841856419108618, 6, 12, False)]),
+        (
+            {"sweep": [0.2, 0.6, 1.5, 8.0]},
+            [(0.2, 24, 0, False), (0.6, 8, 12, False), (1.5, 4, 13, False), (8.0, 0, 3, True)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("mode, rows", PINNED_ROWS, ids=["q", "fdr", "top_k", "sweep"])
+    def test_pinned_rows(self, mode, rows):
+        rng = np.random.default_rng(2026)
+        X = rng.standard_normal((30, 80))
+        X[:15, :10] += 4.0
+        X[:, 40] = 3.0  # zero MAD: dropped
+        data = LabeledMatrix(X=X, class_labels=np.array(["a"] * 15 + ["b"] * 15))
+        rep = ifpca_pipeline(data, **mode)
+        assert (rep.mode, rep.dropped_features) == (next(iter(mode)), 1)
+        assert rep.rows == [PipelineRow(*row) for row in rows]
 
     def test_empty_selection_falls_back(self):
         rng = np.random.default_rng(102)

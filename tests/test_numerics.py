@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,17 @@ class TestChisqSf:
     def test_pinned_values(self, dof):
         xs, want = self.PINNED[dof]
         assert chisq_sf_vec(np.array(xs), dof).tolist() == want
+
+    @pytest.mark.parametrize("dof", [1, 3, 251])
+    def test_infinite_x_is_zero_without_warnings(self, dof):
+        xs = np.array([np.inf, 0.0, 0.5 * dof, dof + 5.0, np.inf, 4.0 * dof + 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chisq_sf(math.inf, dof) == 0.0
+            assert chisq_sf_vec(math.inf, dof) == 0.0
+            got = chisq_sf_vec(xs, dof)
+        assert got[0] == got[4] == 0.0
+        assert got[[1, 2, 3, 5]].tolist() == chisq_sf_vec(xs[[1, 2, 3, 5]], dof).tolist()
 
     def test_vectorized_scipy_oracle(self):
         xs = np.linspace(0.0, 400.0, 1001)

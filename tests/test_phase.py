@@ -46,6 +46,198 @@ class TestBoundaryValues:
         assert hypothesis_segment_count(0.8) == 2
 
 
+# (alpha_boundary, segment) recorded from the implementation that dispatched the
+# testing curves outside the curve table, at every breakpoint of each curve and
+# one midpoint per piece: (problem, kind, variant, theta): [(beta, alpha, segment)]
+PINNED_CURVES = {
+    ("clustering", "statistical", "one_sided", 0.2): [
+        (0.2, 0.3, "simple_agg"), (0.4, 0.1, "breakpoint"), (0.6000000000000001, 0.1, "sparse_agg_flat"),
+        (0.8, 0.09999999999999998, "breakpoint"), (0.9, 0.04999999999999999, "sparse_agg_tail"),
+    ],
+    ("clustering", "statistical", "one_sided", 0.5): [
+        (0.125, 0.375, "simple_agg"), (0.25, 0.25, "breakpoint"), (0.375, 0.25, "sparse_agg_flat"),
+        (0.5, 0.25, "breakpoint"), (0.75, 0.125, "sparse_agg_tail"),
+    ],
+    ("clustering", "statistical", "one_sided", 0.8): [
+        (0.04999999999999999, 0.45, "simple_agg"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.14999999999999997, 0.4, "sparse_agg_flat"), (0.19999999999999996, 0.4, "breakpoint"),
+        (0.6, 0.2, "sparse_agg_tail"),
+    ],
+    ("clustering", "statistical", "signed", 0.2): [
+        (0.2, 0.19999999999999998, "pca_left"), (0.4, 0.1, "breakpoint"),
+        (0.6000000000000001, 0.1, "sparse_agg_flat"), (0.8, 0.09999999999999998, "breakpoint"),
+        (0.9, 0.04999999999999999, "sparse_agg_tail"),
+    ],
+    ("clustering", "statistical", "signed", 0.5): [
+        (0.125, 0.3125, "pca_left"), (0.25, 0.25, "breakpoint"), (0.375, 0.25, "sparse_agg_flat"),
+        (0.5, 0.25, "breakpoint"), (0.75, 0.125, "sparse_agg_tail"),
+    ],
+    ("clustering", "statistical", "signed", 0.8): [
+        (0.04999999999999999, 0.42500000000000004, "pca_left"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.14999999999999997, 0.4, "sparse_agg_flat"), (0.19999999999999996, 0.4, "breakpoint"),
+        (0.6, 0.2, "sparse_agg_tail"),
+    ],
+    ("clustering", "ctub", "one_sided", 0.2): [
+        (0.2, 0.3, "simple_agg"), (0.4, 0.09999999999999998, "breakpoint"),
+        (0.45, 0.07499999999999998, "classical_pca"), (0.5, 0.05, "breakpoint"), (0.7, 0.05, "ifpca_flat"),
+        (0.9, 0.04999999999999999, "breakpoint"), (0.95, 0.025000000000000022, "ifpca_tail"),
+    ],
+    ("clustering", "ctub", "one_sided", 0.5): [
+        (0.125, 0.375, "simple_agg"), (0.25, 0.25, "breakpoint"), (0.375, 0.1875, "classical_pca"),
+        (0.5, 0.125, "breakpoint"), (0.625, 0.125, "ifpca_flat"), (0.75, 0.125, "breakpoint"),
+        (0.875, 0.0625, "ifpca_tail"),
+    ],
+    ("clustering", "ctub", "one_sided", 0.8): [
+        (0.04999999999999999, 0.45, "simple_agg"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.3, 0.30000000000000004, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.55, 0.2, "ifpca_flat"),
+        (0.6, 0.2, "breakpoint"), (0.8, 0.09999999999999998, "ifpca_tail"),
+    ],
+    ("clustering", "ctub", "signed", 0.2): [
+        (0.25, 0.175, "classical_pca"), (0.5, 0.05, "breakpoint"), (0.7, 0.05, "ifpca_flat"),
+        (0.9, 0.04999999999999999, "breakpoint"), (0.95, 0.025000000000000022, "ifpca_tail"),
+    ],
+    ("clustering", "ctub", "signed", 0.5): [
+        (0.25, 0.25, "classical_pca"), (0.5, 0.125, "breakpoint"), (0.625, 0.125, "ifpca_flat"),
+        (0.75, 0.125, "breakpoint"), (0.875, 0.0625, "ifpca_tail"),
+    ],
+    ("clustering", "ctub", "signed", 0.8): [
+        (0.25, 0.325, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.55, 0.2, "ifpca_flat"),
+        (0.6, 0.2, "breakpoint"), (0.8, 0.09999999999999998, "ifpca_tail"),
+    ],
+    ("signal_recovery", "statistical", "one_sided", 0.2): [
+        (0.4, 0.1, "flat"), (0.8, 0.09999999999999998, "breakpoint"), (0.9, 0.07499999999999998, "sloped"),
+    ],
+    ("signal_recovery", "statistical", "one_sided", 0.5): [
+        (0.25, 0.25, "flat"), (0.5, 0.25, "breakpoint"), (0.75, 0.1875, "sloped"),
+    ],
+    ("signal_recovery", "statistical", "one_sided", 0.8): [
+        (0.09999999999999998, 0.4, "flat"), (0.19999999999999996, 0.4, "breakpoint"),
+        (0.6, 0.30000000000000004, "sloped"),
+    ],
+    ("signal_recovery", "statistical", "signed", 0.2): [
+        (0.4, 0.1, "flat"), (0.8, 0.09999999999999998, "breakpoint"), (0.9, 0.07499999999999998, "sloped"),
+    ],
+    ("signal_recovery", "statistical", "signed", 0.5): [
+        (0.25, 0.25, "flat"), (0.5, 0.25, "breakpoint"), (0.75, 0.1875, "sloped"),
+    ],
+    ("signal_recovery", "statistical", "signed", 0.8): [
+        (0.09999999999999998, 0.4, "flat"), (0.19999999999999996, 0.4, "breakpoint"),
+        (0.6, 0.30000000000000004, "sloped"),
+    ],
+    ("signal_recovery", "ctub", "one_sided", 0.2): [
+        (0.2, 0.1, "flat_left"), (0.4, 0.09999999999999998, "breakpoint"),
+        (0.45, 0.07499999999999998, "classical_pca"), (0.5, 0.05, "breakpoint"), (0.75, 0.05, "flat_right"),
+    ],
+    ("signal_recovery", "ctub", "one_sided", 0.5): [
+        (0.125, 0.25, "flat_left"), (0.25, 0.25, "breakpoint"), (0.375, 0.1875, "classical_pca"),
+        (0.5, 0.125, "breakpoint"), (0.75, 0.125, "flat_right"),
+    ],
+    ("signal_recovery", "ctub", "one_sided", 0.8): [
+        (0.04999999999999999, 0.4, "flat_left"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.3, 0.30000000000000004, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.75, 0.2, "flat_right"),
+    ],
+    ("signal_recovery", "ctub", "signed", 0.2): [
+        (0.2, 0.1, "flat_left"), (0.4, 0.09999999999999998, "breakpoint"),
+        (0.45, 0.07499999999999998, "classical_pca"), (0.5, 0.05, "breakpoint"), (0.75, 0.05, "flat_right"),
+    ],
+    ("signal_recovery", "ctub", "signed", 0.5): [
+        (0.125, 0.25, "flat_left"), (0.25, 0.25, "breakpoint"), (0.375, 0.1875, "classical_pca"),
+        (0.5, 0.125, "breakpoint"), (0.75, 0.125, "flat_right"),
+    ],
+    ("signal_recovery", "ctub", "signed", 0.8): [
+        (0.04999999999999999, 0.4, "flat_left"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.3, 0.30000000000000004, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.75, 0.2, "flat_right"),
+    ],
+    ("hypothesis_testing", "statistical", "one_sided", 0.2): [
+        (0.225, 0.32500000000000007, "simple_agg"), (0.45, 0.10000000000000003, "breakpoint"),
+        (0.625, 0.1, "sparse_agg_flat"), (0.8, 0.09999999999999998, "sparse_agg_sloped"),
+        (0.9, 0.07499999999999998, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "statistical", "one_sided", 0.5): [
+        (0.1875, 0.4375, "simple_agg"), (0.375, 0.25, "breakpoint"), (0.4375, 0.25, "sparse_agg_flat"),
+        (0.5, 0.25, "sparse_agg_flat"), (0.75, 0.1875, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "statistical", "one_sided", 0.8): [
+        (0.16666666666666666, 0.5333333333333333, "simple_agg"),
+        (0.3333333333333333, 0.3666666666666667, "breakpoint"),
+        (0.6666666666666666, 0.2833333333333333, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "statistical", "signed", 0.2): [
+        (0.2, 0.19999999999999998, "pca_left"), (0.4, 0.1, "breakpoint"),
+        (0.6000000000000001, 0.1, "sparse_agg_flat"), (0.8, 0.09999999999999998, "breakpoint"),
+        (0.9, 0.07499999999999998, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "statistical", "signed", 0.5): [
+        (0.125, 0.3125, "pca_left"), (0.25, 0.25, "breakpoint"), (0.375, 0.25, "sparse_agg_flat"),
+        (0.5, 0.25, "breakpoint"), (0.75, 0.1875, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "statistical", "signed", 0.8): [
+        (0.04999999999999999, 0.42500000000000004, "pca_left"), (0.09999999999999998, 0.4, "breakpoint"),
+        (0.14999999999999997, 0.4, "sparse_agg_flat"), (0.19999999999999996, 0.4, "breakpoint"),
+        (0.6, 0.30000000000000004, "sparse_agg_sloped"),
+    ],
+    ("hypothesis_testing", "ctub", "one_sided", 0.2): [
+        (0.25, 0.30000000000000004, "simple_agg"), (0.5, 0.050000000000000044, "breakpoint"),
+        (0.75, 0.05, "hc_flat"),
+    ],
+    ("hypothesis_testing", "ctub", "one_sided", 0.5): [
+        (0.25, 0.375, "simple_agg"), (0.5, 0.125, "breakpoint"), (0.75, 0.125, "hc_flat"),
+    ],
+    ("hypothesis_testing", "ctub", "one_sided", 0.8): [
+        (0.25, 0.44999999999999996, "simple_agg"), (0.5, 0.2, "breakpoint"), (0.75, 0.2, "hc_flat"),
+    ],
+    ("hypothesis_testing", "ctub", "signed", 0.2): [
+        (0.25, 0.175, "classical_pca"), (0.5, 0.05, "breakpoint"), (0.75, 0.05, "hc_flat"),
+    ],
+    ("hypothesis_testing", "ctub", "signed", 0.5): [
+        (0.25, 0.25, "classical_pca"), (0.5, 0.125, "breakpoint"), (0.75, 0.125, "hc_flat"),
+    ],
+    ("hypothesis_testing", "ctub", "signed", 0.8): [
+        (0.25, 0.325, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.75, 0.2, "hc_flat"),
+    ],
+}
+# hypothesis_segment_count(theta, kind, variant), recorded from the same implementation
+PINNED_SEGMENT_COUNTS = {
+    (0.2, "statistical", "one_sided"): 3,
+    (0.2, "statistical", "signed"): 3,
+    (0.2, "ctub", "one_sided"): 2,
+    (0.2, "ctub", "signed"): 2,
+    (0.5, "statistical", "one_sided"): 3,
+    (0.5, "statistical", "signed"): 3,
+    (0.5, "ctub", "one_sided"): 2,
+    (0.5, "ctub", "signed"): 2,
+    (0.8, "statistical", "one_sided"): 2,
+    (0.8, "statistical", "signed"): 3,
+    (0.8, "ctub", "one_sided"): 2,
+    (0.8, "ctub", "signed"): 2,
+}
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_curves_match_pinned_values(problem, kind, variant):
+    for theta in (0.2, 0.5, 0.8):
+        for beta, alpha, segment in PINNED_CURVES[(problem, kind, variant, theta)]:
+            ans = boundary(PhaseQuery(problem, kind, variant, theta, beta))
+            assert (ans.alpha_boundary, ans.segment) == (alpha, segment), (theta, beta)
+
+
+def test_segment_counts_match_pinned_values():
+    got = {key: hypothesis_segment_count(*key) for key in PINNED_SEGMENT_COUNTS}
+    assert got == PINNED_SEGMENT_COUNTS
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.5, "bogus", "one_sided"), (0.5, "statistical", "nonsense"), (1.5,), (0.0,), (-0.2, "ctub")],
+    ids=["kind", "variant", "theta_above", "theta_zero", "theta_negative"],
+)
+def test_segment_count_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        hypothesis_segment_count(*args)
+
+
 class TestRhoStar:
     def test_first_branch(self):
         assert rho_star(0.6) == pytest.approx(0.1, abs=1e-15)

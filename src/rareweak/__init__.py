@@ -39,7 +39,7 @@ from .model import (
     load_dataset,
     save_dataset,
 )
-from .numerics import bh_threshold, chisq_sf, folded_mean, folded_var, std_normal_sf
+from .numerics import bh_threshold, chisq_sf, folded_mean, std_normal_sf
 from .phase import PhaseAnswer, PhaseQuery, boundary, classify, rho_star, rho_star_theta
 from .recover import (
     RecoveryResult,
@@ -50,7 +50,6 @@ from .recover import (
     recover_signed_pca,
 )
 from .spectral import (
-    ScreenResult,
     SingularPair,
     SpectralPrediction,
     chi2_scores,

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -221,10 +222,7 @@ def cmd_ifpca(ns) -> int:
         "mode": report.mode,
         "dropped_features": report.dropped_features,
         "warnings": report.warnings,
-        "rows": [
-            {"q": r.q, "n_selected": r.n_selected, "errors": r.errors, "fallback": r.fallback}
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "n_samples": int(data.X.shape[0]),
     }
     if ns.baseline_kmeans:

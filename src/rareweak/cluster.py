@@ -64,7 +64,6 @@ class EnumerationBudgetError(ValueError):
 @dataclass
 class ClusterResult:
     labels: np.ndarray
-    method: str
     selected: np.ndarray | None = None
     singular: SingularPair | None = None
     fallback_used: bool = False
@@ -98,7 +97,7 @@ def simple_aggregation(X: np.ndarray) -> ClusterResult:
     """Sign of the row sums of X."""
     sums = np.sum(X, axis=1)
     _require_finite(sums)
-    return ClusterResult(labels=_sgn(sums), method="simple_agg")
+    return ClusterResult(labels=_sgn(sums))
 
 
 def _check_sparsity(p: int, N: int) -> None:
@@ -254,7 +253,7 @@ def sparse_aggregation_exact(
     when comb(p, N) exceeds ``budget``.
     """
     support, _, running, obj = _exact_search(X, N, (1,), budget, "sparse_aggregation_greedy")
-    return ClusterResult(labels=_sgn(running), method="sparse_agg", selected=support, objective=obj)
+    return ClusterResult(labels=_sgn(running), selected=support, objective=obj)
 
 
 def sparse_aggregation_greedy(
@@ -270,13 +269,13 @@ def sparse_aggregation_greedy(
     lowest restart index, so results are deterministic given the seed.
     """
     support, _, running, obj = _greedy_search(X, N, (1,), restarts, seed)
-    return ClusterResult(labels=_sgn(running), method="sparse_agg_greedy", selected=support, objective=obj)
+    return ClusterResult(labels=_sgn(running), selected=support, objective=obj)
 
 
 def classical_pca(X: np.ndarray) -> ClusterResult:
     """Sign of the top left singular vector of the full matrix."""
     pair = leading_left_singular(X)
-    return ClusterResult(labels=_sgn(pair.vector), method="classical_pca", singular=pair)
+    return ClusterResult(labels=_sgn(pair.vector), singular=pair)
 
 
 def if_pca(X: np.ndarray, q: float) -> ClusterResult:
@@ -289,23 +288,12 @@ def if_pca(X: np.ndarray, q: float) -> ClusterResult:
 
 def screened_pca(X: np.ndarray, scores: np.ndarray, q: float) -> ClusterResult:
     """if_pca on known column scores ``scores = chi2_scores(X)``."""
-    res = select_features(scores, X.shape[1], q)
-    if res.selected.size == 0:
+    selected = select_features(scores, X.shape[1], q)
+    if selected.size == 0:
         fallback = classical_pca(X)
-        return ClusterResult(
-            labels=fallback.labels,
-            method="if_pca",
-            selected=res.selected,
-            singular=fallback.singular,
-            fallback_used=True,
-        )
-    pair = leading_left_singular(X[:, res.selected])
-    return ClusterResult(
-        labels=_sgn(pair.vector),
-        method="if_pca",
-        selected=res.selected,
-        singular=pair,
-    )
+        return ClusterResult(labels=fallback.labels, selected=selected, singular=fallback.singular, fallback_used=True)
+    pair = leading_left_singular(X[:, selected])
+    return ClusterResult(labels=_sgn(pair.vector), selected=selected, singular=pair)
 
 
 def signed_sparse_aggregation(
@@ -333,13 +321,7 @@ def signed_sparse_aggregation(
         )
     w = np.zeros(X.shape[1])
     w[support] = pattern
-    return ClusterResult(
-        labels=_sgn(running),
-        method="signed_sparse_agg_greedy" if greedy else "signed_sparse_agg",
-        selected=support,
-        objective=obj,
-        mu_hat=w,
-    )
+    return ClusterResult(labels=_sgn(running), selected=support, objective=obj, mu_hat=w)
 
 
 def kmeans_1d_two(values: np.ndarray) -> np.ndarray:

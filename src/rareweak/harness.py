@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster, hyptest, metrics, recover, spectral
-from .metrics import cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
-from .model import ArwParams, Dataset, NoiseSpec, _field, gen_dataset
+from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
+from .model import ArwParams, Dataset, NoiseSpec, _field, _is_integer, gen_dataset
 from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "trial_seed",
     "save_records",
     "load_records",
-    "save_sweep",
     "sweep_csv_rows",
 ]
 
@@ -66,8 +65,19 @@ METHOD_PRESETS = {
 }
 
 
+# what each method option may be besides null; its range is checked when the method runs
+_OPTION_TYPES = {
+    "N": ("an integer", _is_integer),
+    "budget": ("an integer", _is_integer),
+    "restarts": ("an integer", _is_integer),
+    "greedy": ("a bool", lambda v: isinstance(v, bool)),
+    "q": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+}
+
+
 def _check_methods(methods: dict) -> None:
-    """Reject an empty method map, an unknown method or an option its method does not take."""
+    """Reject an empty method map, an unknown method, or an option its method
+    does not take or of the wrong type."""
     if not methods:
         raise ValueError("at least one method is required")
     unknown = set(methods) - set(METHODS)
@@ -79,6 +89,10 @@ def _check_methods(methods: dict) -> None:
         bad = sorted(set(opts or {}) - METHODS[name].options)
         if bad:
             raise ValueError(f"method {name!r} does not accept {bad}; it accepts {sorted(METHODS[name].options)}")
+        for key, value in (opts or {}).items():
+            what, ok = _OPTION_TYPES[key]
+            if value is not None and not ok(value):
+                raise ValueError(f"option {key!r} of method {name!r} must be {what} or null, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class TrialSpec:
         return cls(
             params=ArwParams.from_dict(_field(d, "params", dict)),
             methods=_field(d, "methods", dict),
-            seed=int(_field(d, "seed", numbers.Real)),
+            seed=_field(d, "seed", int),
             noise=noise,
         )
 
@@ -204,7 +218,7 @@ class MethodArgs:
         the ``greedy`` option if set, else whether exhaustive enumeration
         would exceed the budget."""
         if self.opts.get("greedy") is not None:
-            return bool(self.opts["greedy"])
+            return self.opts["greedy"]
         return cluster.enum_configs(self.params.p, self.N, signed) > self.budget
 
 
@@ -255,17 +269,17 @@ METHODS = {
     "recover_sa_star": Method(
         "recovery",
         frozenset(),
-        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.simple_aggregation, X).labels, "sa_star"),
+        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.simple_aggregation, X).labels),
     ),
     "recover_if_star": Method(
         "recovery",
         frozenset(),
-        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.classical_pca, X).labels, "if_star"),
+        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.classical_pca, X).labels),
     ),
     "recover_sa_n": Method(
         "recovery",
         _SEARCH_OPTIONS,
-        lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected, method="sa_N"),
+        lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected),
     ),
     "recover_if_q": Method(
         "recovery", frozenset({"q"}), lambda X, a: recover.screen_support(a.once(spectral.chi2_scores, X), a.q)
@@ -424,14 +438,14 @@ class SweepSpec:
         """Inverse of to_dict; a non-object, or a missing or ill-typed field, raises ValueError."""
         real, seq = numbers.Real, (list, tuple)
         return cls(
-            p=int(_field(d, "p", real)),
+            p=_field(d, "p", int),
             theta=float(_field(d, "theta", real)),
             betas=tuple(_field(d, "betas", seq)),
             strength_kind=_field(d, "strength_kind", str),
             strengths=tuple(_field(d, "strengths", seq)),
-            reps=int(_field(d, "reps", real, 20)),
+            reps=_field(d, "reps", int, 20),
             methods=_field(d, "methods", dict, {"simple_agg": {}}),
-            master_seed=int(_field(d, "master_seed", real, 0)),
+            master_seed=_field(d, "master_seed", int, 0),
             sign_mix_a=float(_field(d, "sign_mix_a", real, 0.0)),
             ratio_reference=tuple(_field(d, "ratio_reference", seq, ("clustering", "statistical"))),
         )
@@ -458,8 +472,8 @@ def _mean_ci(values: list[float]) -> dict:
     return {
         "mean": mean,
         "median": float(np.median(arr)),
-        "ci_low": mean - 1.959964 * se,
-        "ci_high": mean + 1.959964 * se,
+        "ci_low": mean - Z95 * se,
+        "ci_high": mean + Z95 * se,
         "n": int(arr.size),
     }
 
@@ -538,12 +552,12 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
         try:
             params = sweep.cell_params(beta, strength)
         except ValueError as exc:
-            return cell_index, {"cell": cell_index, "beta": beta, "strength": strength, "error": str(exc)}
+            return {"cell": cell_index, "beta": beta, "strength": strength, "error": str(exc)}
         records = []
         for rep in range(sweep.reps):
             spec = TrialSpec(params=params, methods=sweep.methods, seed=trial_seed(sweep.master_seed, cell_index, rep))
             records.append(run_trial(spec))
-        cell = {
+        return {
             "cell": cell_index,
             "beta": beta,
             "strength": strength,
@@ -554,14 +568,12 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
             "regions": _classify_cell(sweep, beta, params),
             "results": _aggregate_cell(records),
         }
-        return cell_index, cell
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = dict(pool.map(run_cell, jobs))
+            cells = list(pool.map(run_cell, jobs))
     else:
-        done = dict(map(run_cell, jobs))
-    cells = [done[k] for k in sorted(done)]
+        cells = list(map(run_cell, jobs))
     return {
         "spec": sweep.to_dict(),
         "cells": cells,
@@ -572,10 +584,6 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
 def canonical_json(payload: dict, drop_meta: bool = False) -> str:
     body = {k: v for k, v in payload.items() if not (drop_meta and k == "meta")}
     return json.dumps(body, sort_keys=True, indent=1)
-
-
-def save_sweep(result: dict, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(result))
 
 
 def sweep_csv_rows(result: dict) -> list[dict]:

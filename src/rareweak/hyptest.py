@@ -45,15 +45,14 @@ class TestOutcome:
     statistic: float
     threshold: float
     reject: bool
-    method: str
 
     def __post_init__(self):
         if self.reject != (self.statistic >= self.threshold):
             raise ValueError("reject flag inconsistent with statistic/threshold")
 
 
-def _outcome(stat: float, threshold: float, method: str) -> TestOutcome:
-    return TestOutcome(statistic=stat, threshold=threshold, reject=stat >= threshold, method=method)
+def _outcome(stat: float, threshold: float) -> TestOutcome:
+    return TestOutcome(statistic=stat, threshold=threshold, reject=stat >= threshold)
 
 
 def simple_agg_test(X: np.ndarray) -> TestOutcome:
@@ -68,7 +67,7 @@ def simple_agg_test(X: np.ndarray) -> TestOutcome:
     if not np.isfinite(xbar).all():
         raise ValueError("X must be finite")
     stat = (p * float(xbar @ xbar) - n) / math.sqrt(2 * n)
-    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(p)), "agg_chi2")
+    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(p)))
 
 
 def sparse_agg_test(
@@ -97,7 +96,7 @@ def sparse_agg_outcome(objective: float, n: int, p: int, N: int) -> TestOutcome:
     """sparse_agg_test's verdict on a known best N-column L1 value of an n-by-p X."""
     stat = objective / math.sqrt(N)
     threshold = math.sqrt(2 / math.pi) * n + math.sqrt(2 * n * (N + 2) * math.log(p))
-    return _outcome(stat, threshold, "sparse_agg_l1")
+    return _outcome(stat, threshold)
 
 
 def column_pvalues(X: np.ndarray) -> np.ndarray:
@@ -157,4 +156,4 @@ def higher_criticism_outcome(scores: np.ndarray, n: int) -> TestOutcome:
         raise ValueError("X must be finite")
     top = np.partition(scores, p - p // 2)[p - p // 2 :]
     stat = _hc_max(np.sort(_score_pvalues(top, n)), p)
-    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))), "higher_criticism")
+    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))))

@@ -3,8 +3,7 @@
 Clustering error is the label mismatch rate minimized over the global
 flip (the only nontrivial relabeling with two classes). Recovery error
 is the symmetric set difference against the true support, normalized by
-the calibrated expected signal count rather than the realized one,
-with a flag to switch to the realized count for sensitivity checks.
+the calibrated expected signal count rather than the realized one.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ __all__ = [
     "wilson_interval",
 ]
 
+Z95 = 1.959964  # two-sided 95% standard normal quantile
+
 
 def hamming_clustering(est: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of mismatched labels, minimized over the global flip."""
@@ -35,21 +36,16 @@ def hamming_clustering(est: np.ndarray, truth: np.ndarray) -> float:
     return min(mism, est.size - mism) / est.size
 
 
-def hamming_recovery(est_support, true_support, expected_signals: float, use_realized: bool = False) -> float:
-    """|est symmetric-difference truth| / expected signal count.
-
-    ``use_realized=True`` divides by the realized support size instead
-    (sensitivity variant; the calibrated denominator is the default).
-    """
+def hamming_recovery(est_support, true_support, expected_signals: float) -> float:
+    """|est symmetric-difference truth| / expected signal count."""
     if expected_signals <= 0:
         raise ValueError("expected_signals must be positive")
     est = set(np.asarray(est_support, dtype=int).tolist())
     true = set(np.asarray(true_support, dtype=int).tolist())
-    denom = max(len(true), 1) if use_realized else expected_signals
-    return len(est ^ true) / denom
+    return len(est ^ true) / expected_signals
 
 
-def hamming_recovery_signed(est_signs, true_mu, expected_signals: float, use_realized: bool = False) -> float:
+def hamming_recovery_signed(est_signs, true_mu, expected_signals: float) -> float:
     """Count of sign mismatches sgn(est) != sgn(truth), normalized as above."""
     if expected_signals <= 0:
         raise ValueError("expected_signals must be positive")
@@ -57,30 +53,30 @@ def hamming_recovery_signed(est_signs, true_mu, expected_signals: float, use_rea
     true = np.sign(np.asarray(true_mu, dtype=float))
     if est.shape != true.shape:
         raise ValueError("length mismatch")
-    mism = int(np.sum(est != true))
-    denom = max(int(np.sum(true != 0)), 1) if use_realized else expected_signals
-    return mism / denom
+    return int(np.sum(est != true)) / expected_signals
 
 
 def cos_angle(x: np.ndarray, y: np.ndarray) -> float:
-    """Absolute cosine of the angle between two nonzero vectors."""
+    """Absolute cosine of the angle between two finite nonzero vectors."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cos_angle needs finite vectors")
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0 or ny == 0:
         raise ValueError("cos_angle needs nonzero vectors")
     return min(1.0, abs(float(x @ y)) / (nx * ny))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -39,11 +39,19 @@ __all__ = [
 _REQUIRED = object()
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integral number (7 or 7.0), and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 def _field(d: dict, key: str, kind, default=_REQUIRED):
     """d[key] from a parsed JSON object, checked to be a ``kind``; ``default`` when absent.
 
-    Raises ValueError when d is not an object, or the field is ill-typed
-    or missing without a default.
+    ``kind=int`` takes any integral number (see :func:`_is_integer`) and
+    returns it as an int. Raises ValueError when d is not an object, or
+    the field is ill-typed or missing without a default.
     """
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
@@ -51,9 +59,14 @@ def _field(d: dict, key: str, kind, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"missing field {key!r}")
         return default
-    if not isinstance(d[key], kind):
-        raise ValueError(f"field {key!r} has type {type(d[key]).__name__}")
-    return d[key]
+    value = d[key]
+    if kind is int:
+        if not _is_integer(value):
+            raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+        return int(value)
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} has type {type(value).__name__}")
+    return value
 
 
 def _sample_size(p: int, theta: float) -> int:
@@ -87,7 +100,7 @@ class ArwParams:
             raise ValueError("beta must lie in (0, 1)")
         if (self.alpha is None) == (self.r is None):
             raise ValueError("set exactly one of alpha and r")
-        if self.alpha is not None and self.alpha <= 0:
+        if self.alpha is not None and not self.alpha > 0:
             raise ValueError("alpha must be positive (inf allowed for the null model)")
         if self.r is not None and not 0.0 < self.r < 1.0:
             raise ValueError("r must lie in (0, 1)")
@@ -127,7 +140,7 @@ class ArwParams:
         alpha = _field(d, "alpha", (numbers.Real, str, type(None)), None)
         r = _field(d, "r", (numbers.Real, type(None)), None)
         return cls(
-            p=int(_field(d, "p", numbers.Real)),
+            p=_field(d, "p", int),
             theta=float(_field(d, "theta", numbers.Real)),
             beta=float(_field(d, "beta", numbers.Real)),
             alpha=None if alpha is None else (math.inf if alpha == "inf" else float(alpha)),
@@ -174,21 +187,6 @@ class NoiseSpec:
     @classmethod
     def colored(cls, A: np.ndarray | None = None, B: np.ndarray | None = None) -> "NoiseSpec":
         return cls(kind="colored", A=A, B=B)
-
-    def condition_summary(self) -> dict:
-        """Operator norms of the coloring matrices and their inverses.
-
-        Recorded for diagnostics only; boundedness is an assumption of
-        the theory, not something this code enforces.
-        """
-        out = {}
-        for name, m in (("A", self.A), ("B", self.B)):
-            if m is None:
-                continue
-            s = np.linalg.svd(m, compute_uv=False)
-            out[f"norm_{name}"] = float(s[0])
-            out[f"norm_{name}_inv"] = float("inf") if s[-1] == 0 else float(1.0 / s[-1])
-        return out
 
 
 def diagonal_coloring(p: int, cond: float) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "chisq_sf_vec",
     "noncentral_chisq_sf",
     "folded_mean",
-    "folded_var",
     "bh_threshold",
 ]
 
@@ -193,12 +192,6 @@ def folded_mean(h: float) -> float:
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h!r}")
     return _SQRT_2_OVER_PI * math.exp(-0.5 * h * h) + h * (1.0 - 2.0 * std_normal_sf(h))
-
-
-def folded_var(h: float) -> float:
-    """Var|Z + h| = 1 + h^2 - folded_mean(h)^2, always in (0, 1]."""
-    m = folded_mean(h)
-    return 1.0 + h * h - m * m
 
 
 def bh_threshold(pvalues, fdr_level: float) -> int:

@@ -44,7 +44,6 @@ __all__ = [
 @dataclass
 class RecoveryResult:
     support: np.ndarray
-    method: str
     signs: np.ndarray | None = None
 
     def __post_init__(self):
@@ -53,22 +52,22 @@ class RecoveryResult:
                 raise ValueError("signs must be nonzero exactly on the support")
 
 
-def threshold_weighted_means(X: np.ndarray, labels: np.ndarray, method: str) -> RecoveryResult:
+def threshold_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:
     """Columns whose label-weighted mean y = X' labels / sqrt(n) has |y_j| >= sqrt(2 log p)."""
     n, p = X.shape
     y = X.T @ labels / math.sqrt(n)
     cut = math.sqrt(2 * math.log(p))
-    return RecoveryResult(support=np.flatnonzero(np.abs(y) >= cut), method=method)
+    return RecoveryResult(support=np.flatnonzero(np.abs(y) >= cut))
 
 
 def recover_sa_star(X: np.ndarray) -> RecoveryResult:
     """Cluster by row-sum signs, then keep columns with |y_j| >= sqrt(2 log p)."""
-    return threshold_weighted_means(X, simple_aggregation(X).labels, "sa_star")
+    return threshold_weighted_means(X, simple_aggregation(X).labels)
 
 
 def recover_if_star(X: np.ndarray) -> RecoveryResult:
     """Same thresholding rule, with labels from classical PCA."""
-    return threshold_weighted_means(X, classical_pca(X).labels, "if_star")
+    return threshold_weighted_means(X, classical_pca(X).labels)
 
 
 def recover_sa_N(
@@ -88,7 +87,7 @@ def recover_sa_N(
         res = sparse_aggregation_greedy(X, N, restarts=restarts, seed=seed)
     else:
         res = sparse_aggregation_exact(X, N, budget=budget)
-    return RecoveryResult(support=res.selected, method="sa_N")
+    return RecoveryResult(support=res.selected)
 
 
 def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
@@ -98,7 +97,7 @@ def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
 
 def screen_support(scores: np.ndarray, q: float) -> RecoveryResult:
     """recover_if_q on known column scores ``scores = chi2_scores(X)``."""
-    return RecoveryResult(support=select_features(scores, scores.size, q).selected, method="if_q")
+    return RecoveryResult(support=select_features(scores, scores.size, q))
 
 
 def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:
@@ -112,7 +111,7 @@ def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:
     cut = 2.0 * math.sqrt(math.log(p))
     keep = np.abs(y) > cut
     signs = np.where(keep, np.sign(y), 0.0)
-    return RecoveryResult(support=np.flatnonzero(keep), method="signed_if", signs=signs)
+    return RecoveryResult(support=np.flatnonzero(keep), signs=signs)
 
 
 def recover_signed_pca(X: np.ndarray) -> RecoveryResult:

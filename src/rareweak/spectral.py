@@ -25,7 +25,6 @@ from .model import ArwParams, _sample_size
 from .numerics import chisq_sf, noncentral_chisq_sf, std_normal_sf
 
 __all__ = [
-    "ScreenResult",
     "SingularPair",
     "SpectralPrediction",
     "chi2_scores",
@@ -39,14 +38,6 @@ __all__ = [
     "q_tilde",
     "signal_exponent",
 ]
-
-
-@dataclass
-class ScreenResult:
-    scores: np.ndarray
-    selected: np.ndarray
-    q: float
-    threshold: float
 
 
 @dataclass
@@ -80,13 +71,13 @@ def chi2_scores(X: np.ndarray) -> np.ndarray:
 
 
 def screen_threshold(p: int, q: float) -> float:
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     return math.sqrt(2 * q * math.log(p))
 
 
-def select_features(scores: np.ndarray, p: int, q: float) -> ScreenResult:
-    """Indices with score >= sqrt(2 q log p); equality is kept.
+def select_features(scores: np.ndarray, p: int, q: float) -> np.ndarray:
+    """Sorted indices with score >= sqrt(2 q log p); equality is kept.
 
     An empty selection is a legal result and is returned as such. A NaN
     or infinite score (from a non-finite column) raises ValueError rather
@@ -94,13 +85,7 @@ def select_features(scores: np.ndarray, p: int, q: float) -> ScreenResult:
     """
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite (X has a NaN or inf)")
-    thr = screen_threshold(p, q)
-    return ScreenResult(
-        scores=scores,
-        selected=np.flatnonzero(scores >= thr),
-        q=q,
-        threshold=thr,
-    )
+    return np.flatnonzero(scores >= screen_threshold(p, q))
 
 
 def leading_left_singular(M: np.ndarray) -> SingularPair:
@@ -190,7 +175,7 @@ def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
     expected count as a stand-in for its trace-weighted counterpart
     (the two agree to first order).
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     if params.r is None:
         raise ValueError("predict_selection needs the log-adjusted (r) calibration")
@@ -203,6 +188,6 @@ def predict_null_selection(p: int, theta: float, q: float) -> SpectralPrediction
 
     The crossover reduces to 1 - theta and the expected count to p * pi0.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     return _prediction(_sample_size(p, theta), p, q, 0, 0.0, 1 - theta)

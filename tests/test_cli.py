@@ -49,6 +49,7 @@ class TestSimulateCommand:
         assert "reject" in payload["tests"]["agg_chi2"]
 
     PARAMS = {"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15}
+    ONE = {"simple_agg": {}}
 
     @pytest.mark.parametrize(
         "spec, needle",
@@ -58,8 +59,22 @@ class TestSimulateCommand:
             ({"methods": {"simple_agg": {}}, "seed": 1}, "params"),
             ([{"params": PARAMS, "methods": {"simple_agg": {}}, "seed": 1}], "JSON object"),
             ({"params": PARAMS, "methods": {"signed_sparse_agg": ["N"]}, "seed": 1}, "signed_sparse_agg"),
+            ({"params": PARAMS, "methods": ONE, "seed": 1.5}, "field 'seed' must be an integer"),
+            ({"params": PARAMS, "methods": ONE, "seed": True}, "field 'seed' must be an integer"),
+            ({"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1}, "field 'p' must be an integer"),
+            ({"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1}, "alpha must be positive"),
         ],
-        ids=["flags", "no_methods", "no_params", "top_level_list", "options_not_object"],
+        ids=[
+            "flags",
+            "no_methods",
+            "no_params",
+            "top_level_list",
+            "options_not_object",
+            "fractional_seed",
+            "bool_seed",
+            "fractional_p",
+            "nan_alpha",
+        ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):
         args = ["simulate", "--p", "300"]
@@ -170,9 +185,22 @@ class TestSweepCommand:
             (lambda spec: {"p": 300}, "theta"),
             (lambda spec: {**spec, "betas": 0.3}, "betas"),
             (lambda spec: [spec], "JSON object"),
-            (lambda spec: {**spec, "p": math.inf}, "infinity"),
+            (lambda spec: {**spec, "p": math.inf}, "field 'p' must be an integer"),
+            (lambda spec: {**spec, "p": 300.9}, "field 'p' must be an integer"),
+            (lambda spec: {**spec, "reps": 2.7}, "field 'reps' must be an integer"),
+            (lambda spec: {**spec, "reps": True}, "field 'reps' must be an integer"),
+            (lambda spec: {**spec, "master_seed": 5.5}, "field 'master_seed' must be an integer"),
         ],
-        ids=["missing_fields", "betas_not_list", "top_level_list", "p_infinite"],
+        ids=[
+            "missing_fields",
+            "betas_not_list",
+            "top_level_list",
+            "p_infinite",
+            "p_fractional",
+            "reps_fractional",
+            "reps_bool",
+            "master_seed_fractional",
+        ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):
         path = self.sweep_spec(tmp_path)
@@ -181,7 +209,33 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("invalid sweep spec:") and needle in err
 
-    @pytest.mark.parametrize("methods", [{"if_pca": {"Q": 0.1}}, {"magic": {}}], ids=["bad_option", "unknown"])
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            {"if_pca": {"Q": 0.1}},
+            {"magic": {}},
+            {"signed_sparse_agg": {"greedy": "false"}},
+            {"sparse_agg_l1": {"greedy": 0}},
+            {"sparse_agg_exact": {"N": 2.7}},
+            {"sparse_agg_exact": {"N": True}},
+            {"sparse_agg_exact": {"budget": "10"}},
+            {"sparse_agg_greedy": {"restarts": 1.5}},
+            {"if_pca": {"q": "3"}},
+            {"recover_if_q": {"q": False}},
+        ],
+        ids=[
+            "bad_option",
+            "unknown",
+            "greedy_string",
+            "greedy_int",
+            "N_fractional",
+            "N_bool",
+            "budget_string",
+            "restarts_fractional",
+            "q_string",
+            "q_bool",
+        ],
+    )
     def test_bad_methods_exit_2(self, tmp_path, capsys, methods):
         path = self.sweep_spec(tmp_path)
         spec = json.loads(path.read_text())
@@ -190,6 +244,19 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--spec", str(path)], capsys)
         assert code == 2
         assert err.startswith("invalid sweep spec:")
+
+    def test_nan_q_is_a_method_error(self, tmp_path, capsys):
+        # json.loads accepts NaN; the screen then refuses it instead of selecting nothing
+        path = self.sweep_spec(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["methods"] = {"if_pca": {"q": math.nan}, "recover_if_q": {"q": math.nan}, "simple_agg": {}}
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(["sweep", "--spec", str(path)], capsys)
+        assert code == 3
+        for cell in json.loads(out)["cells"]:
+            assert cell["results"]["clustering"]["if_pca"] == {"error": "q must be positive"}
+            assert cell["results"]["recovery"]["recover_if_q"] == {"error": "q must be positive"}
+            assert "hamming" in cell["results"]["clustering"]["simple_agg"]
 
 
 class TestIfpcaCommand:

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from rareweak.harness import (
     run_sweep,
     run_trial,
     save_records,
-    save_sweep,
     sweep_csv_rows,
     trial_seed,
 )
@@ -225,6 +225,15 @@ def test_traced_names_resolve(monkeypatch):
     assert counts["selected"] >= 0
 
 
+def test_exported_names_resolve():
+    import rareweak
+
+    for info in pkgutil.iter_modules(rareweak.__path__):
+        module = importlib.import_module(f"rareweak.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+
+
 @pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])
 def test_signed_rule_charges_evaluated_pairs(budget, greedy):
     # p = N = 5: the signed enumeration evaluates one support with 2^4 sign patterns
@@ -404,9 +413,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="records"):
             load_records(path)
 
-    def test_sweep_file_round_trip(self, tmp_path):
+    def test_sweep_json_round_trip(self):
         result = run_sweep(tiny_sweep(reps=2))
-        path = tmp_path / "sweep.json"
-        save_sweep(result, path)
-        back = json.loads(path.read_text())
-        assert back["cells"] == json.loads(canonical_json(result))["cells"]
+        assert json.loads(canonical_json(result))["cells"] == result["cells"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rareweak.hyptest as ht
+from rareweak.cluster import sparse_aggregation_greedy
 from rareweak.harness import METHODS, MethodArgs
 from rareweak.model import ArwParams, gen_dataset
 from rareweak.numerics import chisq_sf
@@ -78,7 +79,8 @@ class TestSparseAggTest:
         rng = np.random.default_rng(89)
         X = rng.standard_normal((30, 400))
         out = ht.sparse_agg_test(X, N=10, greedy=True, restarts=2)
-        assert out.method == "sparse_agg_l1"
+        objective = sparse_aggregation_greedy(X, 10, restarts=2).objective
+        assert out == ht.sparse_agg_outcome(objective, 30, 400, 10)
 
 
 @pytest.mark.parametrize(
@@ -180,4 +182,4 @@ class TestHigherCriticism:
 
 def test_outcome_consistency_guard():
     with pytest.raises(ValueError):
-        ht.TestOutcome(statistic=1.0, threshold=2.0, reject=True, method="agg_chi2")
+        ht.TestOutcome(statistic=1.0, threshold=2.0, reject=True)

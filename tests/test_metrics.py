@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,10 +57,6 @@ class TestHammingRecovery:
         plus3 = hamming_recovery(np.arange(8), true, expected_signals=10.0)
         assert plus3 == pytest.approx(base + 3 / 10.0)
 
-    def test_realized_denominator_flag(self):
-        v = hamming_recovery([], np.arange(4), expected_signals=8.0, use_realized=True)
-        assert v == 1.0
-
     def test_signed_mirror_cases(self):
         mu = np.array([0.0, 2.0, -2.0])
         assert hamming_recovery_signed(mu, mu, expected_signals=2.0) == 0.0
@@ -90,6 +88,13 @@ class TestCosAngle:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             cos_angle(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cos_angle([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            cos_angle([1.0, 1.0], [1.0, bad])
 
     def test_high_cosine_implies_low_clustering_error(self):
         # diagnostic link between angle and sign mismatches

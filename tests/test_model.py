@@ -60,6 +60,30 @@ class TestCalibrate:
             ArwParams(p=100, theta=0.5, beta=0.5, r=1.5)
         with pytest.raises(ValueError):
             ArwParams(p=100, theta=0.5, beta=0.5, alpha=0.2, sign_mix_a=0.7)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            ArwParams(p=100, theta=0.5, beta=0.5, alpha=math.nan)
+        assert ArwParams(p=100, theta=0.5, beta=0.5, alpha=math.inf).tau == 0.0
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            ({"alpha": "nan"}, "alpha must be positive"),
+            ({"alpha": math.nan}, "alpha must be positive"),
+            ({"p": 300.9}, "field 'p' must be an integer"),
+            ({"p": True}, "field 'p' must be an integer"),
+            ({"p": "300"}, "field 'p' must be an integer"),
+        ],
+    )
+    def test_from_dict_rejects(self, edit, needle):
+        with pytest.raises(ValueError, match=needle):
+            ArwParams.from_dict({"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15, **edit})
+
+    def test_from_dict_integral_p(self):
+        base = {"theta": 0.5, "beta": 0.4, "alpha": "inf"}
+        params = ArwParams.from_dict({"p": 300.0, **base})
+        assert params.p == 300 and type(params.p) is int
+        assert params == ArwParams.from_dict({"p": 300, **base})
+        assert math.isinf(params.alpha)
 
 
 class TestGenLabels:
@@ -148,9 +172,9 @@ class TestGenDataset:
         colored = gen_dataset(params, NoiseSpec.colored(B=B), seed=17)
         white = gen_dataset(params, seed=17)
         assert not np.array_equal(colored.X, white.X)
-        spec = NoiseSpec.colored(B=B).condition_summary()
-        assert spec["norm_B"] == pytest.approx(3.0, rel=1e-9)
-        assert spec["norm_B_inv"] == pytest.approx(3.0, rel=1e-9)
+        s = np.linalg.svd(B, compute_uv=False)
+        assert s[0] == pytest.approx(3.0, rel=1e-9)
+        assert 1.0 / s[-1] == pytest.approx(3.0, rel=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         params = self.params()

@@ -11,7 +11,6 @@ from rareweak.numerics import (
     chisq_sf,
     chisq_sf_vec,
     folded_mean,
-    folded_var,
     noncentral_chisq_sf,
     std_normal_sf,
 )
@@ -173,28 +172,14 @@ class TestFoldedMoments:
         oracle = simpson(lambda z: np.abs(z + 1.0) * normal_pdf(z), -40.0, 40.0, 800_000)
         assert folded_mean(1.0) == pytest.approx(oracle, abs=1e-6)
 
-    def test_var_at_zero(self):
-        assert folded_var(0.0) == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
-
-    def test_var_large_h(self):
-        assert folded_var(50.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_var_monte_carlo_oracle(self):
-        rng = np.random.default_rng(20240817)
-        draws = np.abs(rng.standard_normal(10_000_000) + 1.0)
-        assert folded_var(1.0) == pytest.approx(draws.var(), abs=3e-3)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             folded_mean(-0.01)
-        with pytest.raises(ValueError):
-            folded_var(-1.0)
 
     @given(st.floats(min_value=0.0, max_value=60.0))
     def test_bounds(self, h):
         m = folded_mean(h)
         assert m >= max(h, SQRT_2_OVER_PI) - 1e-12
-        assert 0.0 < folded_var(h) <= 1.0 + 1e-12
 
     @given(
         st.floats(min_value=0.0, max_value=30.0),

@@ -64,25 +64,24 @@ class TestSelectFeatures:
     def test_huge_q_empty(self):
         rng = np.random.default_rng(41)
         X = rng.standard_normal((100, 2_000))
-        res = select_features(chi2_scores(X), 2_000, q=100.0)
-        assert res.selected.size == 0
+        assert select_features(chi2_scores(X), 2_000, q=100.0).size == 0
 
     def test_tiny_q_selects_nonnegative_scores(self):
         rng = np.random.default_rng(42)
         scores = rng.standard_normal(500)
-        res = select_features(scores, 500, q=1e-18)
-        np.testing.assert_array_equal(res.selected, np.flatnonzero(scores >= res.threshold))
-        assert set(np.flatnonzero(scores > 1e-6)) <= set(res.selected.tolist())
+        sel = select_features(scores, 500, q=1e-18)
+        np.testing.assert_array_equal(sel, np.flatnonzero(scores >= screen_threshold(500, 1e-18)))
+        assert set(np.flatnonzero(scores > 1e-6)) <= set(sel.tolist())
 
     def test_null_count_matches_chisq_tail(self):
         p, n, q = 10_000, 100, 1.0
         rng = np.random.default_rng(43)
         X = rng.standard_normal((n, p))
-        res = select_features(chi2_scores(X), p, q)
-        cut = n + math.sqrt(2 * n) * res.threshold
+        sel = select_features(chi2_scores(X), p, q)
+        cut = n + math.sqrt(2 * n) * screen_threshold(p, q)
         pi0 = chisq_sf(cut, n)
         sigma = math.sqrt(p * pi0 * (1 - pi0))
-        assert abs(res.selected.size - p * pi0) <= 3 * sigma
+        assert abs(sel.size - p * pi0) <= 3 * sigma
 
     def test_threshold_positive(self):
         assert screen_threshold(100, 0.5) > 0
@@ -94,8 +93,8 @@ class TestSelectFeatures:
     def test_monotone_nesting(self, q1, q2):
         scores = np.random.default_rng(7).standard_normal(300) * 2
         lo, hi = sorted((q1, q2))
-        inner = set(select_features(scores, 300, hi).selected.tolist())
-        outer = set(select_features(scores, 300, lo).selected.tolist())
+        inner = set(select_features(scores, 300, hi).tolist())
+        outer = set(select_features(scores, 300, lo).tolist())
         assert inner <= outer
 
 
@@ -260,8 +259,8 @@ class TestEmpiricalSpectra:
         cos = []
         for seed in range(10):
             ds = gen_dataset(params, seed=1000 + seed)
-            res = select_features(chi2_scores(ds.X), params.p, q)
-            pair = leading_left_singular(ds.X[:, res.selected])
+            sel = select_features(chi2_scores(ds.X), params.p, q)
+            pair = leading_left_singular(ds.X[:, sel])
             cos.append(abs(pair.vector @ ds.labels) / np.linalg.norm(ds.labels))
         assert np.mean(cos) >= 0.9
 

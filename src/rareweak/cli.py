@@ -66,7 +66,12 @@ def _add_sweep(sub):
     p = sub.add_parser("sweep", help="run a grid sweep from a SweepSpec JSON file")
     p.add_argument("--spec", type=Path, required=True)
     p.add_argument("--out", type=Path, help="output path stem (writes .json and .csv)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="cells run at once on this many threads (default 1); each trial runs BLAS on one thread",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -155,6 +160,9 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
+    if ns.workers < 1:
+        print(f"invalid --workers: must be at least 1, got {ns.workers}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     try:
         sweep = SweepSpec.from_dict(json.loads(ns.spec.read_text()))
     except (ValueError, OverflowError, json.JSONDecodeError) as exc:

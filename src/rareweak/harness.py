@@ -12,17 +12,28 @@ adding cells or reps never perturbs existing trials, and parallel
 execution cannot change any result. Sweep JSON output is canonical
 (sorted keys); everything time-dependent lives in a separate "meta"
 block so reruns are byte-identical outside it.
+
+Each trial runs numpy's OpenBLAS on one thread; sweeps get their
+parallelism from running trials on ``workers`` threads. Two trials on
+the default two BLAS threads each oversubscribe a two-core host, and
+the bits of a large product such as X @ X.T depend on the BLAS thread
+count, so the pin also makes sweep bodies independent of the host's
+BLAS setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
 import numbers
+import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +41,7 @@ import numpy as np
 
 from . import cluster, hyptest, metrics, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
-from .model import ArwParams, Dataset, NoiseSpec, _field, _is_integer, gen_dataset
+from .model import ArwParams, Dataset, NoiseSpec, _check_count, _field, _is_integer, gen_dataset
 from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
 
 __all__ = [
@@ -103,6 +114,7 @@ class TrialSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec.white)
 
     def __post_init__(self):
+        _check_count(self, "seed", 0)
         _check_methods(self.methods)
 
     def to_dict(self) -> dict:
@@ -336,24 +348,77 @@ def _entry(res, ds: Dataset, params: ArwParams) -> dict:
     return entry
 
 
+@functools.cache
+def _openblas() -> tuple[Callable, Callable] | None:
+    """(get_num_threads, set_num_threads) of the OpenBLAS that numpy's wheel
+    bundles, or None when none is found."""
+    pkg = Path(np.__file__).parent
+    for path in sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin = {"trials": 0, "saved": None}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread.
+
+    The thread count is global to the process, so the first trial in
+    saves it and sets 1, and the last trial out restores it, also when
+    the body raises. Without OpenBLAS this does nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin["trials"] == 0:
+            _pin["saved"] = get()
+            set_(1)
+        _pin["trials"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["trials"] -= 1
+            if _pin["trials"] == 0:
+                set_(_pin["saved"])
+
+
 def run_trial(spec: TrialSpec) -> TrialRecord:
-    """Generate one dataset and run every requested method on it.
+    """Generate one dataset and run every requested method on it, with
+    BLAS on one thread (see the module docstring).
 
     Results that several methods share are computed once (see
     MethodArgs.once). Per-method failures become {"error": message}
     entries; the other methods still run.
     """
     t0 = time.perf_counter()
-    ds = gen_dataset(spec.params, spec.noise, spec.seed)
     groups = {"clustering": {}, "recovery": {}, "tests": {}}
     memo: dict = {}
-    for name, opts in spec.methods.items():
-        method = METHODS[name]
-        try:
-            entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed, memo)), ds, spec.params)
-        except ValueError as exc:  # cluster.EnumerationBudgetError included
-            entry = {"error": str(exc)}
-        groups[method.group][name] = entry
+    with _one_blas_thread():
+        ds = gen_dataset(spec.params, spec.noise, spec.seed)
+        for name, opts in spec.methods.items():
+            method = METHODS[name]
+            try:
+                entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed, memo)), ds, spec.params)
+            except ValueError as exc:  # cluster.EnumerationBudgetError included
+                entry = {"error": str(exc)}
+            groups[method.group][name] = entry
     return TrialRecord(
         spec_hash=spec.spec_hash(),
         seed=spec.seed,
@@ -413,8 +478,9 @@ class SweepSpec:
     def __post_init__(self):
         if not self.betas or not self.strengths:
             raise ValueError("grids must be nonempty")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        _check_count(self, "p", 2)
+        _check_count(self, "reps", 1)
+        _check_count(self, "master_seed", 0)
         if self.strength_kind not in ("alpha", "r", "alpha_ratio"):
             raise ValueError(f"bad strength_kind {self.strength_kind!r}")
         _check_methods(self.methods)
@@ -538,8 +604,13 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
 
     Returns {"spec", "cells", "meta"}; everything outside "meta" is a
     pure function of the spec. Failed cells are recorded and do not
-    stop the sweep.
+    stop the sweep. ``workers`` threads run cells at once; it must be a
+    positive integer. ``meta["blas_pinned"]`` says whether each trial ran
+    OpenBLAS on one thread, which makes the body independent of the
+    host's BLAS thread count.
     """
+    if not _is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     t0 = time.perf_counter()
     jobs = []
     for i, beta in enumerate(sweep.betas):
@@ -577,7 +648,11 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     return {
         "spec": sweep.to_dict(),
         "cells": cells,
-        "meta": {"wall_time": time.perf_counter() - t0, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "meta": {
+            "wall_time": time.perf_counter() - t0,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "blas_pinned": _openblas() is not None,
+        },
     }
 
 

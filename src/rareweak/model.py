@@ -46,6 +46,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
+def _check_count(obj, name: str, minimum: int) -> None:
+    """Check that attribute ``name`` of a (frozen) dataclass is an integer
+    (see :func:`_is_integer`) of at least ``minimum``, and store it as an int."""
+    value = getattr(obj, name)
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    object.__setattr__(obj, name, int(value))
+
+
 def _field(d: dict, key: str, kind, default=_REQUIRED):
     """d[key] from a parsed JSON object, checked to be a ``kind``; ``default`` when absent.
 
@@ -92,8 +101,7 @@ class ArwParams:
     sign_mix_a: float = 0.0
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        _check_count(self, "p", 2)
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if not 0.0 < self.beta < 1.0:

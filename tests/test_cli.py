@@ -63,6 +63,7 @@ class TestSimulateCommand:
             ({"params": PARAMS, "methods": ONE, "seed": True}, "field 'seed' must be an integer"),
             ({"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1}, "field 'p' must be an integer"),
             ({"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1}, "alpha must be positive"),
+            ({"params": PARAMS, "methods": ONE, "seed": -1}, "seed must be an integer of at least 0"),
         ],
         ids=[
             "flags",
@@ -74,6 +75,7 @@ class TestSimulateCommand:
             "bool_seed",
             "fractional_p",
             "nan_alpha",
+            "negative_seed",
         ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):
@@ -83,6 +85,16 @@ class TestSimulateCommand:
             path.write_text(json.dumps(spec))
             args = ["simulate", "--spec", str(path)]
         code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("invalid spec:") and needle in err
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--seed", "-1"], "seed must be an integer of at least 0"), (["--p", "1"], "p must be an integer of at least 2")],
+        ids=["negative_seed", "p_one"],
+    )
+    def test_invalid_flags_exit_2(self, capsys, flags, needle):
+        code, _, err = run_cli(["simulate", "--alpha", "0.1", *flags], capsys)
         assert code == 2
         assert err.startswith("invalid spec:") and needle in err
 
@@ -190,6 +202,8 @@ class TestSweepCommand:
             (lambda spec: {**spec, "reps": 2.7}, "field 'reps' must be an integer"),
             (lambda spec: {**spec, "reps": True}, "field 'reps' must be an integer"),
             (lambda spec: {**spec, "master_seed": 5.5}, "field 'master_seed' must be an integer"),
+            (lambda spec: {**spec, "master_seed": -1}, "master_seed must be an integer of at least 0"),
+            (lambda spec: {**spec, "reps": 0}, "reps must be an integer of at least 1"),
         ],
         ids=[
             "missing_fields",
@@ -200,6 +214,8 @@ class TestSweepCommand:
             "reps_fractional",
             "reps_bool",
             "master_seed_fractional",
+            "master_seed_negative",
+            "reps_zero",
         ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):
@@ -208,6 +224,13 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--spec", str(path)], capsys)
         assert code == 2
         assert err.startswith("invalid sweep spec:") and needle in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
+        path = self.sweep_spec(tmp_path)
+        code, out, err = run_cli(["sweep", "--spec", str(path), "--workers", workers], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid --workers:")
 
     @pytest.mark.parametrize(
         "methods",

@@ -2,13 +2,17 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rareweak import cluster, harness
 from rareweak.harness import (
     METHODS,
     MethodArgs,
@@ -74,6 +78,16 @@ class TestRunTrial:
         assert "error" in rec.clustering["sparse_agg_exact"]
         assert "hamming" in rec.clustering["simple_agg"]
         assert rec.has_errors
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
+    def test_bad_seed_rejected_when_built(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            small_spec(seed=seed)
+
+    def test_integral_seed_stored_as_int(self):
+        spec = small_spec(seed=7.0)
+        assert spec.seed == 7 and type(spec.seed) is int
+        assert spec.spec_hash() == small_spec(seed=7).spec_hash()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -339,6 +353,26 @@ class TestRunSweep:
         parallel = canonical_json(run_sweep(tiny_sweep(), workers=4), drop_meta=True)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+            run_sweep(tiny_sweep(), workers=workers)
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            ({"master_seed": -1}, "master_seed must be an integer of at least 0"),
+            ({"master_seed": 1.5}, "master_seed must be an integer of at least 0"),
+            ({"p": 300.5}, "p must be an integer of at least 2"),
+            ({"p": True}, "p must be an integer of at least 2"),
+            ({"reps": 0}, "reps must be an integer of at least 1"),
+            ({"reps": 2.5}, "reps must be an integer of at least 1"),
+        ],
+    )
+    def test_bad_counts_rejected_when_built(self, edit, needle):
+        with pytest.raises(ValueError, match=needle):
+            tiny_sweep(**edit)
+
     def test_cell_failures_recorded_without_stopping(self):
         sweep = tiny_sweep(strength_kind="r", strengths=(0.5, 2.0))  # r=2.0 is invalid
         result = run_sweep(sweep)
@@ -416,3 +450,147 @@ class TestPersistence:
     def test_sweep_json_round_trip(self):
         result = run_sweep(tiny_sweep(reps=2))
         assert json.loads(canonical_json(result))["cells"] == result["cells"]
+
+
+# n = 110: large enough that the bits of X @ X.T depend on the BLAS thread count
+WIDE = dict(p=12_100, theta=0.5, betas=(0.6,), strength_kind="r", strengths=(0.35,), reps=3)
+WIDE_METHODS = {"classical_pca": {}, "if_pca": {}}
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS set to two threads for the test, then set back."""
+    found = harness._openblas()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get, set_ = found
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+def _spy_classical_pca(monkeypatch, during):
+    """Make classical_pca call during() first, through the module attribute the method table reads."""
+    real = cluster.classical_pca
+
+    def spy(X):
+        during()
+        return real(X)
+
+    monkeypatch.setattr(cluster, "classical_pca", spy)
+
+
+class TestBlasPin:
+    def test_wide_sweep_parallel_equals_serial(self):
+        sweep = SweepSpec(**WIDE, methods=WIDE_METHODS, master_seed=8)
+        assert sweep.cell_params(0.6, 0.35).n == 110
+        serial = canonical_json(run_sweep(sweep), drop_meta=True)
+        parallel = canonical_json(run_sweep(sweep, workers=2), drop_meta=True)
+        assert serial == parallel
+
+    def test_wide_sweep_equals_one_thread_process(self):
+        sweep = SweepSpec(**WIDE, methods=WIDE_METHODS, master_seed=8)
+        script = (
+            "import json, sys\n"
+            "from rareweak.harness import SweepSpec, canonical_json, run_sweep\n"
+            "sys.stdout.write(canonical_json(run_sweep(SweepSpec.from_dict(json.loads(sys.argv[1]))), drop_meta=True))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        child = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(sweep.to_dict())], env=env, capture_output=True, text=True, check=True
+        )
+        assert child.stdout == canonical_json(run_sweep(sweep), drop_meta=True)
+
+    def test_one_thread_inside_restored_after(self, blas, monkeypatch):
+        seen = []
+        _spy_classical_pca(monkeypatch, lambda: seen.append(blas()))
+        assert not run_trial(small_spec(seed=1)).has_errors
+        assert seen == [1] and blas() == 2
+
+    def test_restored_after_exception(self, blas, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        _spy_classical_pca(monkeypatch, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_trial(small_spec(seed=1))
+        assert blas() == 2
+        assert harness._pin["trials"] == 0
+
+    def test_overlapping_trials_restore_when_the_last_leaves(self, blas, monkeypatch):
+        both_inside = threading.Barrier(2, timeout=60)
+        early_done = threading.Event()
+        seen, failures = {}, []
+
+        def during():
+            both_inside.wait()
+            name = threading.current_thread().name
+            if name == "late":
+                assert early_done.wait(60)
+            seen[name] = blas()  # the late trial reads this after the early one has left
+
+        _spy_classical_pca(monkeypatch, during)
+
+        def trial(seed):
+            try:
+                assert not run_trial(small_spec(seed=seed)).has_errors
+            except Exception as exc:  # surfaced by the asserts below
+                failures.append(exc)
+
+        early = threading.Thread(target=trial, args=(1,), name="early")
+        late = threading.Thread(target=trial, args=(2,), name="late")
+        early.start()
+        late.start()
+        early.join(60)
+        seen["between"] = blas()
+        early_done.set()
+        late.join(60)
+        assert not early.is_alive() and not late.is_alive()
+        assert not failures
+        assert seen == {"early": 1, "between": 1, "late": 1}
+        assert blas() == 2 and harness._pin["trials"] == 0
+
+    def test_many_threads_never_see_a_lost_update(self, blas, monkeypatch):
+        # more threads than cores, entering together and switching often: a lost
+        # update of the count would let one trial restore two threads while
+        # another is still inside, or save the pinned 1 as the count to restore
+        seen = []
+        _spy_classical_pca(monkeypatch, lambda: seen.append(blas()))
+        spec = TrialSpec(params=ArwParams(p=60, theta=0.5, beta=0.5, alpha=0.2), methods={"classical_pca": {}})
+        together = threading.Barrier(6, timeout=60)
+
+        def trials():
+            for _ in range(25):
+                together.wait()
+                run_trial(spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=trials) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 150
+        assert blas() == 2 and harness._pin["trials"] == 0
+
+    def test_meta_records_the_pin(self):
+        meta = run_sweep(tiny_sweep(reps=1))["meta"]
+        assert meta["blas_pinned"] is (harness._openblas() is not None)
+
+    def test_no_openblas_does_nothing(self, blas, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        _spy_classical_pca(monkeypatch, lambda: seen.append(blas()))
+        assert not run_trial(small_spec(seed=1)).has_errors
+        assert seen == [2] and blas() == 2
+        result = run_sweep(tiny_sweep(reps=1, methods={"classical_pca": {}}))
+        assert result["meta"]["blas_pinned"] is False
+        assert seen[1:] == [2] * 4

@@ -63,6 +63,11 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="alpha must be positive"):
             ArwParams(p=100, theta=0.5, beta=0.5, alpha=math.nan)
         assert ArwParams(p=100, theta=0.5, beta=0.5, alpha=math.inf).tau == 0.0
+        for p in (300.5, True, 1, "300"):
+            with pytest.raises(ValueError, match="p must be an integer of at least 2"):
+                ArwParams(p=p, theta=0.5, beta=0.5, alpha=0.2)
+        params = ArwParams(p=np.int64(300), theta=0.5, beta=0.5, alpha=0.2)
+        assert params.p == 300 and type(params.p) is int
 
     @pytest.mark.parametrize(
         "edit, needle",

@@ -369,16 +369,18 @@ def _openblas() -> tuple[Callable, Callable] | None:
 
 
 _pin_lock = threading.Lock()
-_pin = {"trials": 0, "saved": None}
+_pin = {"inside": 0, "saved": None}
 
 
 @contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread.
 
-    The thread count is global to the process, so the first trial in
-    saves it and sets 1, and the last trial out restores it, also when
-    the body raises. Without OpenBLAS this does nothing.
+    The thread count is global to the process, so one count covers every
+    body that runs under the pin (trials here, ``ifpca`` pipeline and
+    k-means runs there): the first body in saves the count and sets 1,
+    and the last body out restores it, also when the body raises.
+    Without OpenBLAS this does nothing.
     """
     blas = _openblas()
     if blas is None:
@@ -386,16 +388,16 @@ def _one_blas_thread():
         return
     get, set_ = blas
     with _pin_lock:
-        if _pin["trials"] == 0:
+        if _pin["inside"] == 0:
             _pin["saved"] = get()
             set_(1)
-        _pin["trials"] += 1
+        _pin["inside"] += 1
     try:
         yield
     finally:
         with _pin_lock:
-            _pin["trials"] -= 1
-            if _pin["trials"] == 0:
+            _pin["inside"] -= 1
+            if _pin["inside"] == 0:
                 set_(_pin["saved"])
 
 

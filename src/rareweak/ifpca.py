@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import kmeans_1d_two
-from .model import _require_finite_cells
+from .harness import _one_blas_thread
+from .model import _is_integer, _require_finite_cells
 from .numerics import bh_threshold, chisq_sf_vec
 from .spectral import leading_left_singular, select_features
 
@@ -130,6 +131,7 @@ def _null_two_sided_pvalues(scores: np.ndarray, n: int, literal_scaling: bool) -
     return np.minimum(upper + lower, 1.0)
 
 
+@_one_blas_thread()
 def ifpca_pipeline(
     data: LabeledMatrix,
     q: float | None = None,
@@ -197,36 +199,68 @@ def ifpca_pipeline(
     return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=norm.warnings)
 
 
+@_one_blas_thread()
 def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_iter: int = 200) -> int:
     """Plain two-cluster Lloyd iteration on the normalized rows.
 
-    Random-row initialization, ``restarts`` independent starts, best
-    within-cluster sum of squares wins. Returns the flip-minimized
-    error count against the class labels.
+    Random-row initialization, ``restarts`` independent starts (at least
+    1), at most ``max_iter`` (at least 1) assignment steps each, stopping
+    when an assignment repeats; best within-cluster sum of squares wins.
+    Returns the flip-minimized error count against the class labels.
+
+    The iteration runs on the n-by-n Gram matrix G = X* X*^T of the
+    normalized rows rather than on the n-by-p rows themselves. Each
+    center is a weighted mean of rows, c_k = X*^T w_k (w_k one-hot at the
+    start, members / count after an update; an empty cluster keeps its
+    old weights), so x_i . c_k = (G W^T)_ik and ||c_k||^2 = w_k^T G w_k.
+    A row joins cluster 1 when d_1 - d_0 = ||c_1||^2 - ||c_0||^2
+    - 2 (x_i . c_1 - x_i . c_0) < 0, in which ||x_i||^2 cancels exactly.
+    Each step then costs O(n^2) instead of O(n p). The assignments are
+    those of the n-by-p distance loop, except where two distances tie in
+    exact arithmetic but not after rounding: each form breaks such a tie
+    by its own rounding.
     """
-    Xstar = mad_normalize(data.X).X
+    for name, value in (("restarts", restarts), ("max_iter", max_iter)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    assign = _two_means(mad_normalize(data.X).X, int(restarts), seed, int(max_iter))
+    return _errors_against_labels(np.where(assign == 0, -1, 1), data.class_labels)
+
+
+def _two_means(Xstar: np.ndarray, restarts: int, seed: int, max_iter: int) -> np.ndarray:
+    """Cluster (0 or 1) of each row at the lowest-SSE restart of the Gram-form
+    Lloyd iteration that ``baseline_kmeans`` describes."""
     n = Xstar.shape[0]
+    # identical rows get identical Gram rows and columns (those of their first copy),
+    # so that two identical centers tie exactly, as they do in the n-by-p distances
+    first: dict[bytes, int] = {}
+    copy_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(Xstar)]
+    G = (Xstar @ Xstar.T)[np.ix_(copy_of, copy_of)]
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
-        centers = Xstar[rng.choice(n, 2, replace=False)].copy()
+    for _ in range(restarts):
+        W = np.zeros((2, n))
+        W[[0, 1], rng.choice(n, 2, replace=False)] = 1.0
         assign = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
-            d0 = np.sum((Xstar - centers[0]) ** 2, axis=1)
-            d1 = np.sum((Xstar - centers[1]) ** 2, axis=1)
-            new_assign = (d1 < d0).astype(int)
-            if np.array_equal(new_assign, assign) and _ > 0:
+        for step in range(max_iter):
+            GW = G @ W.T
+            cc = np.einsum("ki,ik->k", W, GW)
+            new_assign = (cc[1] - cc[0] - 2 * (GW[:, 1] - GW[:, 0]) < 0).astype(int)
+            if np.array_equal(new_assign, assign) and step > 0:
                 break
             assign = new_assign
             for k in (0, 1):
-                members = Xstar[assign == k]
-                if members.shape[0]:
-                    centers[k] = members.mean(axis=0)
-        sse = float(np.sum((Xstar - centers[assign]) ** 2))
+                members = assign == k
+                count = np.count_nonzero(members)
+                if count:
+                    W[k] = members / count
+        # the centers are the means of the final clusters, so the within-cluster sum
+        # of squares is trace(G) - sum_k |cluster k| ||c_k||^2, summed the same way
+        # for both clusters so that a label swap cannot change the lowest-SSE choice
+        sse = float(np.trace(G)) - sum(np.count_nonzero(assign == k) * float(W[k] @ G @ W[k]) for k in (0, 1))
         if best is None or sse < best[0]:
-            best = (sse, assign.copy())
-    pred = np.where(best[1] == 0, -1, 1)
-    return _errors_against_labels(pred, data.class_labels)
+            best = (sse, assign)
+    return best[1]
 
 
 def load_labeled_csv(
@@ -239,25 +273,41 @@ def load_labeled_csv(
     Labels come either from a designated column of the same file or
     from a separate single-column file (one label per sample line). A
     NaN or inf feature value raises ValueError naming its row and column.
+
+    The header is read by ``csv``; the cells by numpy's C parser: comma
+    delimited, ``"`` quoting, blank lines skipped, no comment character
+    (a ``#`` is part of its cell). There must be at least one row, each
+    with one cell per header name, and every feature cell must be a
+    number that ``float()`` reads, apart from digit-group underscores and
+    non-ASCII digits; otherwise ValueError. Labels are kept as their
+    literal strings.
     """
     data_path = Path(data_path)
     with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        raw_rows = [row for row in reader if row]
+        header = next(csv.reader(fh))
     if label_column is not None:
         if label_column not in header:
             raise ValueError(f"label column {label_column!r} not in header")
         li = header.index(label_column)
-        labels = np.array([row[li] for row in raw_rows])
-        feat_idx = [i for i in range(len(header)) if i != li]
-        names = [header[i] for i in feat_idx]
-        X = np.array([[float(row[i]) for i in feat_idx] for row in raw_rows])
     elif labels_path is not None:
-        names = header
-        X = np.array([[float(v) for v in row] for row in raw_rows])
-        labels = np.array([line.strip() for line in Path(labels_path).read_text().splitlines() if line.strip()])
+        li = None
     else:
         raise ValueError("provide labels_path or label_column")
+    # encoding=None reads the file the way open() does (numpy before 2.0 defaults to bytes)
+    cells = dict(delimiter=",", skiprows=1, ndmin=2, comments=None, quotechar='"', encoding=None)
+    # the label column parses as a 0.0 placeholder, so that a row with a missing
+    # or extra cell still shows as a change in the column count
+    X = np.loadtxt(data_path, converters=None if li is None else {li: lambda cell: 0.0}, **cells)
+    if X.shape[0] == 0:
+        raise ValueError(f"{data_path}: no data rows")
+    if X.shape[1] != len(header):
+        raise ValueError(f"{data_path}: rows have {X.shape[1]} cells but the header names {len(header)}")
+    if li is None:
+        names = header
+        labels = np.array([line.strip() for line in Path(labels_path).read_text().splitlines() if line.strip()])
+    else:
+        names = header[:li] + header[li + 1 :]
+        X = np.delete(X, li, axis=1)
+        labels = np.loadtxt(data_path, dtype=str, usecols=[li], **cells)[:, 0]
     _require_finite_cells(X, data_path, names)
     return LabeledMatrix(X=X, class_labels=labels, feature_names=names)

@@ -457,19 +457,6 @@ WIDE = dict(p=12_100, theta=0.5, betas=(0.6,), strength_kind="r", strengths=(0.3
 WIDE_METHODS = {"classical_pca": {}, "if_pca": {}}
 
 
-@pytest.fixture
-def blas():
-    """numpy's OpenBLAS set to two threads for the test, then set back."""
-    found = harness._openblas()
-    if found is None:
-        pytest.skip("numpy's OpenBLAS not found")
-    get, set_ = found
-    saved = get()
-    set_(2)
-    yield get
-    set_(saved)
-
-
 def _spy_classical_pca(monkeypatch, during):
     """Make classical_pca call during() first, through the module attribute the method table reads."""
     real = cluster.classical_pca
@@ -518,7 +505,7 @@ class TestBlasPin:
         with pytest.raises(RuntimeError, match="boom"):
             run_trial(small_spec(seed=1))
         assert blas() == 2
-        assert harness._pin["trials"] == 0
+        assert harness._pin["inside"] == 0
 
     def test_overlapping_trials_restore_when_the_last_leaves(self, blas, monkeypatch):
         both_inside = threading.Barrier(2, timeout=60)
@@ -551,7 +538,7 @@ class TestBlasPin:
         assert not early.is_alive() and not late.is_alive()
         assert not failures
         assert seen == {"early": 1, "between": 1, "late": 1}
-        assert blas() == 2 and harness._pin["trials"] == 0
+        assert blas() == 2 and harness._pin["inside"] == 0
 
     def test_many_threads_never_see_a_lost_update(self, blas, monkeypatch):
         # more threads than cores, entering together and switching often: a lost
@@ -579,7 +566,7 @@ class TestBlasPin:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert seen == [1] * 150
-        assert blas() == 2 and harness._pin["trials"] == 0
+        assert blas() == 2 and harness._pin["inside"] == 0
 
     def test_meta_records_the_pin(self):
         meta = run_sweep(tiny_sweep(reps=1))["meta"]

@@ -1,12 +1,18 @@
 import math
+import struct
+import threading
 
 import numpy as np
 import pytest
 
+from rareweak import cluster, harness, ifpca
 from rareweak.cluster import if_pca
+from rareweak.harness import TrialSpec, run_trial
 from rareweak.ifpca import (
     LabeledMatrix,
     PipelineRow,
+    _errors_against_labels,
+    _two_means,
     baseline_kmeans,
     ifpca_pipeline,
     load_labeled_csv,
@@ -207,6 +213,162 @@ class TestBaselineKmeans:
         data = two_blob_data(gap=1.0, seed=11)
         assert baseline_kmeans(data, seed=4) == baseline_kmeans(data, seed=4)
 
+    @pytest.mark.parametrize("name", ["restarts", "max_iter"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3", None])
+    def test_bad_counts_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got "):
+            baseline_kmeans(two_blob_data(), **{name: bad})
+
+    def test_integral_float_counts_accepted(self):
+        assert baseline_kmeans(two_blob_data(), restarts=3.0, max_iter=50.0) == 0
+
+
+class TestBlasPin:
+    """Pipeline and k-means runs take the trials' one-thread BLAS pin."""
+
+    def test_pipeline_one_thread_inside_restored_after(self, blas, monkeypatch):
+        seen = []
+        real = ifpca.leading_left_singular
+        monkeypatch.setattr(ifpca, "leading_left_singular", lambda M: seen.append(blas()) or real(M))
+        ifpca_pipeline(two_blob_data(), sweep=[0.2, 0.5])
+        assert seen == [1, 1] and blas() == 2
+
+    def test_kmeans_one_thread_inside_restored_after(self, blas, monkeypatch):
+        seen = []
+        real = ifpca._two_means
+        monkeypatch.setattr(ifpca, "_two_means", lambda *args: seen.append(blas()) or real(*args))
+        assert baseline_kmeans(two_blob_data()) == 0
+        assert seen == [1] and blas() == 2
+
+    def test_pipeline_and_trial_share_one_count(self, blas, monkeypatch):
+        # the trial leaves while the pipeline is still inside: the pipeline keeps one
+        # thread, and the host count comes back only when the pipeline leaves too
+        both_inside = threading.Barrier(2, timeout=60)
+        trial_done = threading.Event()
+        seen, failures = {}, []
+        real_svd, real_pca = ifpca.leading_left_singular, cluster.classical_pca
+
+        def pipeline_spy(M):
+            both_inside.wait()
+            assert trial_done.wait(60)
+            seen["pipeline"] = blas()
+            return real_svd(M)
+
+        def trial_spy(X):
+            both_inside.wait()
+            return real_pca(X)
+
+        monkeypatch.setattr(ifpca, "leading_left_singular", pipeline_spy)
+        monkeypatch.setattr(cluster, "classical_pca", trial_spy)
+
+        def pipeline():
+            try:
+                ifpca_pipeline(two_blob_data(), q=0.5)
+            except Exception as exc:  # surfaced by the asserts below
+                failures.append(exc)
+
+        thread = threading.Thread(target=pipeline)
+        thread.start()
+        spec = TrialSpec(params=ArwParams(p=60, theta=0.5, beta=0.5, alpha=0.2), methods={"classical_pca": {}})
+        assert not run_trial(spec).has_errors
+        seen["after trial"] = blas()
+        trial_done.set()
+        thread.join(60)
+        assert not thread.is_alive() and not failures
+        assert seen == {"after trial": 1, "pipeline": 1}
+        assert blas() == 2 and harness._pin["inside"] == 0
+
+
+def lloyd_reference(X, restarts, seed, max_iter=200):
+    """The n-by-p Lloyd loop that baseline_kmeans ran before its Gram form.
+
+    Returns the lowest-SSE restart's assignment and whether any update
+    met an empty cluster.
+    """
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    best, emptied = None, False
+    for _ in range(restarts):
+        centers = X[rng.choice(n, 2, replace=False)].copy()
+        assign = np.zeros(n, dtype=int)
+        for step in range(max_iter):
+            d0 = np.sum((X - centers[0]) ** 2, axis=1)
+            d1 = np.sum((X - centers[1]) ** 2, axis=1)
+            new_assign = (d1 < d0).astype(int)
+            if np.array_equal(new_assign, assign) and step > 0:
+                break
+            assign = new_assign
+            for k in (0, 1):
+                members = X[assign == k]
+                if members.shape[0]:
+                    centers[k] = members.mean(axis=0)
+                else:
+                    emptied = True
+        sse = float(np.sum((X - centers[assign]) ** 2))
+        if best is None or sse < best[0]:
+            best = (sse, assign.copy())
+    return best[1], emptied
+
+
+def oracle_instance(i):
+    """Seeded matrix of one of four kinds, n in [2, 120], p log-uniform in [1, 5000]."""
+    rng = np.random.default_rng([7, i])
+    n = int(rng.integers(2, 121))
+    p = int(np.clip(np.exp(rng.uniform(0, math.log(5000))), 1, 5000))
+    kind = i % 4
+    if kind == 0:  # plain noise
+        X = rng.standard_normal((n, p))
+    elif kind == 1:  # about four copies of each distinct row
+        base = rng.standard_normal((max(2, n // 4), p))
+        X = base[rng.integers(0, base.shape[0], n)]
+    elif kind == 2:  # two shifted groups of rows
+        X = rng.standard_normal((n, p)) + rng.uniform(0, 3) * np.outer(rng.integers(0, 2, n), rng.standard_normal(p))
+    else:  # a few distinct levels, so distances tie exactly
+        X = rng.integers(0, 3, (n, p)).astype(float)
+    labels = np.arange(n) % 2
+    rng.shuffle(labels)
+    return X, labels
+
+
+class TestGramKmeansOracle:
+    """The Gram-form Lloyd iteration gives the same final assignment as the
+    n-by-p loop, restart by restart and through the lowest-SSE choice."""
+
+    def test_matches_direct_lloyd(self):
+        seen = {"n>p": 0, "n=2": 0, "p=1": 0, "duplicates": 0, "emptied": 0, "restarts=1": 0, "restarts=30": 0}
+        for i in range(240):
+            X, labels = oracle_instance(i)
+            restarts = 1 if i % 2 else 30
+            data = LabeledMatrix(X=X, class_labels=labels)
+            # level data is compared unnormalized, where both forms compute the first
+            # distances exactly: rows that tie exactly there tie in both; after the MAD
+            # scaling the same rows tie only up to rounding, which each form breaks its own way
+            rows = X if i % 4 == 3 else mad_normalize(X).X
+            want, emptied = lloyd_reference(rows, restarts, seed=i)
+            np.testing.assert_array_equal(_two_means(rows, restarts, i, 200), want, err_msg=f"instance {i}")
+            if i % 4 != 3:
+                errors = _errors_against_labels(np.where(want == 0, -1, 1), data.class_labels)
+                assert baseline_kmeans(data, restarts=restarts, seed=i) == errors, f"instance {i}"
+            n, p = rows.shape
+            seen["n>p"] += n > p
+            seen["n=2"] += n == 2
+            seen["p=1"] += p == 1
+            seen["duplicates"] += len({row.tobytes() for row in rows}) < n
+            seen["emptied"] += emptied
+            seen[f"restarts={restarts}"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_identical_centers_tie_exactly(self, max_iter):
+        # rows 0 and 8 are the same, so both as centers put every row in cluster 0 and
+        # leave cluster 1 empty; at this size OpenBLAS gives the two copies Gram
+        # columns that differ in the last bits
+        X = np.random.default_rng(0).standard_normal((12, 50))
+        X[8] = X[0]
+        seed = next(s for s in range(1000) if set(np.random.default_rng(s).choice(12, 2, replace=False)) == {0, 8})
+        want, emptied = lloyd_reference(X, 1, seed, max_iter)
+        assert emptied
+        np.testing.assert_array_equal(_two_means(X, 1, seed, max_iter), want)
 
 class TestLoaders:
     def test_label_column_mode(self, tmp_path):
@@ -239,6 +401,112 @@ class TestLoaders:
         dpath.write_text("f1\n1.0\n")
         with pytest.raises(ValueError):
             load_labeled_csv(dpath)
+
+    def test_values_bit_equal_to_float(self, tmp_path):
+        values = [5e-324, 2.2250738585072009e-308, 1e308, -1e308, -0.0, 0.0, 0.1, -1 / 3, math.pi * 1e-200, 6.02214076e23]
+        text = ["%.17g" % v for v in values]
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,group\n" + "".join(f"{c},{c},{'xy'[i % 2]}\n" for i, c in enumerate(text)))
+        data = load_labeled_csv(path, label_column="group")
+        bits = [struct.pack("<d", float(c)) for c in text]
+        assert [struct.pack("<d", v) for v in data.X[:, 0]] == bits
+        assert [struct.pack("<d", v) for v in data.X[:, 1]] == bits
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f#1,f2,#group\n1.0,2.0,a#\n3.0,4.0,#b\n")
+        data = load_labeled_csv(path, label_column="#group")
+        assert data.feature_names == ["f#1", "f2"]
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(data.class_labels, ["a#", "#b"])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2\n\n1.0,2.0\n\n\n3.0,4.0\n\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        np.testing.assert_array_equal(load_labeled_csv(path, labels_path=lpath).X, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"f,1",f2,"grp"\n"1.5",2.0,"a,b"\n3.0,"4.0",c\n')
+        data = load_labeled_csv(path, label_column="grp")
+        assert data.feature_names == ["f,1", "f2"]
+        np.testing.assert_array_equal(data.X, [[1.5, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(data.class_labels, ["a,b", "c"])
+
+    def test_labels_kept_literally(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("group,f1\n007,1.0\n7,2.0\n007,3.0\n")
+        data = load_labeled_csv(path, label_column="group")
+        assert data.class_labels.tolist() == ["007", "7", "007"]
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "+1.5", "1e3", "1E-3", ".5", "5.", "-0"])
+    def test_accepted_number_spellings(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f1,group\n{cell},x\n2.0,y\n")
+        assert load_labeled_csv(path, label_column="group").X[0, 0] == float(cell)
+
+    # "1_0" and the full-width digit are read by float() but not by the loader
+    @pytest.mark.parametrize("cell", ["abc", "", "1_0", "\uff11", "0x10", "1d5"])
+    def test_non_numeric_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f1,group\n1.0,x\n{cell},y\n")
+        with pytest.raises(ValueError):
+            load_labeled_csv(path, label_column="group")
+        path.write_text(f"f1,f2\n1.0,2.0\n{cell},3.0\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        with pytest.raises(ValueError):
+            load_labeled_csv(path, labels_path=lpath)
+
+    @pytest.mark.parametrize("row", ["3.0", "3.0,4.0,5.0"])
+    @pytest.mark.parametrize("label_column", [None, "f2"])
+    def test_ragged_row_rejected(self, tmp_path, row, label_column):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f1,f2\n1.0,2.0\n{row}\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        with pytest.raises(ValueError):
+            load_labeled_csv(path, labels_path=lpath if label_column is None else None, label_column=label_column)
+
+    def test_rows_longer_than_header_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        with pytest.raises(ValueError, match="rows have 3 cells but the header names 2$"):
+            load_labeled_csv(path, labels_path=lpath)
+
+    @pytest.mark.parametrize("label_column", [None, "group"])
+    def test_header_only_rejected(self, tmp_path, label_column):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,group\n\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        with pytest.warns(UserWarning, match="no data"), pytest.raises(ValueError, match="no data rows$"):
+            load_labeled_csv(path, labels_path=lpath, label_column=label_column)
+
+    def test_one_column_stays_2d(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,group\n1.0,x\n2.0,y\n")
+        assert load_labeled_csv(path, label_column="group").X.shape == (2, 1)
+        path.write_text("f1\n1.0\n2.0\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\ny\n")
+        assert load_labeled_csv(path, labels_path=lpath).X.shape == (2, 1)
+
+    def test_one_row_stays_2d(self, tmp_path):
+        # one row reaches the class-count check as one sample, not as a column of samples
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,group\n1.0,2.0,x\n")
+        with pytest.raises(ValueError, match="exactly two distinct class labels"):
+            load_labeled_csv(path, label_column="group")
+        path.write_text("f1,f2\n1.0,2.0\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("x\n")
+        with pytest.raises(ValueError, match="exactly two distinct class labels"):
+            load_labeled_csv(path, labels_path=lpath)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_cell_named(self, tmp_path, bad):

@@ -36,8 +36,6 @@ from .model import (
     gen_dataset,
     gen_labels,
     gen_mu,
-    load_dataset,
-    save_dataset,
 )
 from .numerics import bh_threshold, chisq_sf, folded_mean, std_normal_sf
 from .phase import PhaseAnswer, PhaseQuery, boundary, classify, rho_star, rho_star_theta

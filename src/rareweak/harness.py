@@ -1,4 +1,4 @@
-"""Monte Carlo orchestration: single trials, phase-plane sweeps, persistence.
+"""Monte Carlo orchestration: single trials and phase-plane sweeps.
 
 A TrialSpec pins everything needed to reproduce one replication: the
 calibration, the noise model, the methods to run (with their options),
@@ -51,8 +51,6 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "trial_seed",
-    "save_records",
-    "load_records",
     "sweep_csv_rows",
 ]
 
@@ -76,13 +74,18 @@ METHOD_PRESETS = {
 }
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # what each method option may be besides null; its range is checked when the method runs
 _OPTION_TYPES = {
     "N": ("an integer", _is_integer),
     "budget": ("an integer", _is_integer),
     "restarts": ("an integer", _is_integer),
     "greedy": ("a bool", lambda v: isinstance(v, bool)),
-    "q": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "q": ("a real number", _is_real),
 }
 
 
@@ -164,10 +167,6 @@ class TrialRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(**{k: d[k] for k in ("spec_hash", "seed", "clustering", "recovery", "tests", "wall_time", "spec")})
 
     @property
     def has_errors(self) -> bool:
@@ -480,6 +479,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.betas or not self.strengths:
             raise ValueError("grids must be nonempty")
+        for name in ("betas", "strengths"):
+            bad = [v for v in getattr(self, name) if not _is_real(v)]
+            if bad:
+                raise ValueError(f"{name} entries must be real numbers, got {bad[0]!r}")
         _check_count(self, "p", 2)
         _check_count(self, "reps", 1)
         _check_count(self, "master_seed", 0)
@@ -692,18 +695,3 @@ def sweep_csv_rows(result: dict) -> list[dict]:
                 row[f"rejection_rate:{name}"] = agg["rejection_rate"]
         rows.append(row)
     return rows
-
-
-def save_records(records: list[TrialRecord], path: str | Path) -> None:
-    payload = {"records": [r.to_dict() for r in records]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
-
-
-def load_records(path: str | Path) -> list[TrialRecord]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed record file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if "records" not in payload:
-        raise ValueError(f"malformed record file {path}: missing 'records' field")
-    return [TrialRecord.from_dict(d) for d in payload["records"]]

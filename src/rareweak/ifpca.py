@@ -19,13 +19,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .cluster import kmeans_1d_two
 from .harness import _one_blas_thread
-from .model import _is_integer, _require_finite_cells
+from .model import _is_integer
 from .numerics import bh_threshold, chisq_sf_vec
 from .spectral import leading_left_singular, select_features
 
@@ -44,6 +45,25 @@ __all__ = [
 MAD_TO_SD = 0.6745  # Phi^{-1}(3/4): makes MAD match the standard deviation
 
 
+def _require_finite_cells(X: np.ndarray, source, names: list[str] | None = None) -> None:
+    """Reject a matrix with a NaN or inf entry, naming the first one.
+
+    Rows and columns count from 0 over the data cells; ``names`` labels
+    the columns when given.
+    """
+    if not np.isfinite(X).all():
+        i, j = (int(k) for k in np.argwhere(~np.isfinite(X))[0])
+        column = j if names is None else repr(names[j])
+        raise ValueError(f"{source}: non-finite value {X[i, j]} at row {i}, column {column}")
+
+
+@dataclass
+class NormalizedMatrix:
+    X: np.ndarray
+    dropped: np.ndarray
+    warnings: list[str] = field(default_factory=list)
+
+
 @dataclass
 class LabeledMatrix:
     X: np.ndarray
@@ -57,13 +77,13 @@ class LabeledMatrix:
         if len(set(self.class_labels.tolist())) != 2:
             raise ValueError("exactly two distinct class labels are required")
 
-
-@dataclass
-class NormalizedMatrix:
-    X: np.ndarray
-    kept: np.ndarray
-    dropped: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    @cached_property
+    def normalized(self) -> NormalizedMatrix:
+        """``mad_normalize(X)``, computed on first use and kept with its X read-only. Every
+        pipeline mode and the k-means baseline read it, so X must not change after the first call."""
+        norm = mad_normalize(self.X)
+        norm.X.flags.writeable = False
+        return norm
 
 
 def mad_normalize(X: np.ndarray) -> NormalizedMatrix:
@@ -80,9 +100,11 @@ def mad_normalize(X: np.ndarray) -> NormalizedMatrix:
     kept = np.flatnonzero(mad > 0)
     dropped = np.flatnonzero(mad == 0)
     warnings = [f"dropped column {j}: zero median absolute deviation" for j in dropped.tolist()]
-    Xk = X[:, kept]
-    out = MAD_TO_SD * (Xk - Xk.mean(axis=0)) / mad[kept]
-    return NormalizedMatrix(X=out, kept=kept, dropped=dropped, warnings=warnings)
+    out = X[:, kept]  # a copy, so scaling it in place leaves X as it was
+    out -= out.mean(axis=0)
+    out *= MAD_TO_SD
+    out /= mad[kept]
+    return NormalizedMatrix(X=out, dropped=dropped, warnings=warnings)
 
 
 def two_sided_scores(Xstar: np.ndarray, literal_scaling: bool = False) -> np.ndarray:
@@ -154,13 +176,14 @@ def ifpca_pipeline(
     cut sqrt(2 q log p), through ``spectral.select_features``, and need
     q > 0.
 
-    ``normalize=False`` skips the robust standardization, for input
-    that is already unit scale; a NaN or inf entry still raises
-    ValueError naming its row and column. Note that standardization mostly
-    absorbs a symmetric two-class location signal of sub-unit size (the
-    variance inflation 1 + tau^2 nearly cancels against the mixture's
-    inflated robust scale), so synthetic calibrated data should be run
-    unnormalized when comparing against the plain screening methods.
+    The robust standardization is ``data.normalized``, computed once per
+    ``data``. ``normalize=False`` skips it, for input that is already unit
+    scale; a NaN or inf entry still raises ValueError naming its row and
+    column. Note that standardization mostly absorbs a symmetric two-class
+    location signal of sub-unit size (the variance inflation 1 + tau^2
+    nearly cancels against the mixture's inflated robust scale), so
+    synthetic calibrated data should be run unnormalized when comparing
+    against the plain screening methods.
     """
     modes = [m for m, v in (("q", q), ("fdr", fdr), ("top_k", top_k), ("sweep", sweep)) if v is not None]
     if len(modes) != 1:
@@ -169,11 +192,11 @@ def ifpca_pipeline(
     if mode == "sweep" and len(sweep) == 0:
         raise ValueError("sweep needs at least one q value")
     if normalize:
-        norm = mad_normalize(data.X)
+        norm = data.normalized
     else:
         X = np.asarray(data.X, dtype=float)
         _require_finite_cells(X, "ifpca_pipeline")
-        norm = NormalizedMatrix(X=X, kept=np.arange(X.shape[1]), dropped=np.array([], dtype=int))
+        norm = NormalizedMatrix(X=X, dropped=np.array([], dtype=int))
     Xstar = norm.X
     n, p = Xstar.shape
     scores = two_sided_scores(Xstar, literal_scaling=literal_scaling)
@@ -196,12 +219,12 @@ def ifpca_pipeline(
         xi = leading_left_singular(Xstar if fallback else Xstar[:, sel]).vector
         errors = _errors_against_labels(kmeans_1d_two(xi), data.class_labels)
         rows.append(PipelineRow(q=row_q, n_selected=int(sel.size), errors=errors, fallback=fallback))
-    return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=norm.warnings)
+    return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=list(norm.warnings))
 
 
 @_one_blas_thread()
 def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_iter: int = 200) -> int:
-    """Plain two-cluster Lloyd iteration on the normalized rows.
+    """Plain two-cluster Lloyd iteration on the normalized rows (``data.normalized``).
 
     Random-row initialization, ``restarts`` independent starts (at least
     1), at most ``max_iter`` (at least 1) assignment steps each, stopping
@@ -223,7 +246,7 @@ def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_
     for name, value in (("restarts", restarts), ("max_iter", max_iter)):
         if not _is_integer(value) or value < 1:
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    assign = _two_means(mad_normalize(data.X).X, int(restarts), seed, int(max_iter))
+    assign = _two_means(data.normalized.X, int(restarts), seed, int(max_iter))
     return _errors_against_labels(np.where(assign == 0, -1, 1), data.class_labels)
 
 

@@ -14,11 +14,9 @@ same dataset bit for bit, no matter which pieces are drawn first.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +29,6 @@ __all__ = [
     "gen_mu",
     "gen_dataset",
     "diagonal_coloring",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -211,14 +207,12 @@ def diagonal_coloring(p: int, cond: float) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """One generated or loaded n-by-p data matrix with optional truth."""
+    """One n-by-p data matrix with optional truth."""
 
     X: np.ndarray
     labels: np.ndarray | None = None
     mu: np.ndarray | None = None
     support: np.ndarray | None = None
-    seed: int = 0
-    params: ArwParams | None = None
 
     def __post_init__(self):
         if self.labels is not None and not np.all(np.isin(self.labels, (-1, 1))):
@@ -229,18 +223,6 @@ class Dataset:
                 self.support = sup
             elif not np.array_equal(np.sort(self.support), sup):
                 raise ValueError("support does not match the nonzeros of mu")
-
-
-def _require_finite_cells(X: np.ndarray, source, names: list[str] | None = None) -> None:
-    """Reject a loaded matrix with a NaN or inf entry, naming the first one.
-
-    Rows and columns count from 0 over the data cells; ``names`` labels
-    the columns when given.
-    """
-    if not np.isfinite(X).all():
-        i, j = (int(k) for k in np.argwhere(~np.isfinite(X))[0])
-        column = j if names is None else repr(names[j])
-        raise ValueError(f"{source}: non-finite value {X[i, j]} at row {i}, column {column}")
 
 
 def gen_labels(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -306,53 +288,4 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
     neg = -mu
     for i, label in enumerate(labels):
         X[i] += mu if label > 0 else neg
-    return Dataset(X=X, labels=labels, mu=mu, support=support, seed=seed, params=params)
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the matrix as CSV (rows = samples) plus a JSON sidecar.
-
-    Floats are written with shortest round-trip formatting, so loading
-    reproduces the matrix exactly.
-    """
-    path = Path(path)
-    with open(path, "w") as fh:
-        for row in dataset.X:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-    sidecar = {
-        "seed": dataset.seed,
-        "params": None if dataset.params is None else dataset.params.to_dict(),
-        "labels": None if dataset.labels is None else dataset.labels.tolist(),
-        "support": None if dataset.support is None else dataset.support.tolist(),
-        "mu_values": None
-        if dataset.mu is None
-        else {str(j): repr(float(dataset.mu[j])) for j in np.flatnonzero(dataset.mu)},
-        "shape": list(dataset.X.shape),
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Inverse of :func:`save_dataset`. A NaN or inf cell raises ValueError."""
-    path = Path(path)
-    X = np.loadtxt(path, delimiter=",", ndmin=2)
-    _require_finite_cells(X, path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        sidecar = json.load(fh)
-    if list(X.shape) != sidecar["shape"]:
-        raise ValueError(f"matrix shape {X.shape} does not match sidecar {sidecar['shape']}")
-    mu = None
-    if sidecar["mu_values"] is not None:
-        mu = np.zeros(X.shape[1])
-        for j, v in sidecar["mu_values"].items():
-            mu[int(j)] = float(v)
-    return Dataset(
-        X=X,
-        labels=None if sidecar["labels"] is None else np.asarray(sidecar["labels"], dtype=np.int64),
-        mu=mu,
-        support=None if sidecar["support"] is None else np.asarray(sidecar["support"], dtype=np.int64),
-        seed=int(sidecar["seed"]),
-        params=None if sidecar["params"] is None else ArwParams.from_dict(sidecar["params"]),
-    )
+    return Dataset(X=X, labels=labels, mu=mu, support=support)

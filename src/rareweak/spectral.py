@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ArwParams, _sample_size
-from .numerics import chisq_sf, noncentral_chisq_sf, std_normal_sf
+from .numerics import chisq_sf, noncentral_chisq_sf
 
 __all__ = [
     "SingularPair",
@@ -33,10 +33,8 @@ __all__ = [
     "leading_left_singular",
     "predict_selection",
     "predict_null_selection",
-    "pi1_normal_approx",
     "q_star",
     "q_tilde",
-    "signal_exponent",
 ]
 
 
@@ -133,17 +131,6 @@ def q_tilde(beta: float, theta: float, r: float) -> float:
     return max(1 - theta, (math.sqrt(1 - beta - theta) + math.sqrt(r)) ** 2)
 
 
-def signal_exponent(q: float, beta: float, theta: float, r: float) -> float:
-    """Growth exponent (base p) of the rank-one signal eigenvalue after screening."""
-    gap = max(math.sqrt(q) - math.sqrt(r), 0.0)
-    return 1 + theta / 2 - beta - gap * gap
-
-
-def pi1_normal_approx(q: float, r: float, p: int) -> float:
-    """Normal-limit approximation to the signal-column survival probability."""
-    return std_normal_sf((math.sqrt(q) - math.sqrt(r)) * math.sqrt(2 * math.log(p)))
-
-
 _BAND_CONSTANT = 3.0  # half-width of the predicted noise band, in units of sqrt(n m_q log p)
 
 
@@ -169,8 +156,7 @@ def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
     """Closed-form screen predictions under the log-adjusted calibration.
 
     pi0/pi1 are exact chi-square survival values at the screening cut
-    (pi1 through the noncentral series; see :func:`pi1_normal_approx`
-    for the labeled normal shortcut). The expected selected count mixes
+    (pi1 through the noncentral series). The expected selected count mixes
     them by the expected signal count, and the eigenvalue band uses the
     expected count as a stand-in for its trace-weighted counterpart
     (the two agree to first order).

@@ -204,6 +204,9 @@ class TestSweepCommand:
             (lambda spec: {**spec, "master_seed": 5.5}, "field 'master_seed' must be an integer"),
             (lambda spec: {**spec, "master_seed": -1}, "master_seed must be an integer of at least 0"),
             (lambda spec: {**spec, "reps": 0}, "reps must be an integer of at least 1"),
+            (lambda spec: {**spec, "betas": ["x"]}, "betas entries must be real numbers, got 'x'"),
+            (lambda spec: {**spec, "betas": [0.3, False]}, "betas entries must be real numbers, got False"),
+            (lambda spec: {**spec, "strengths": [0.1, None]}, "strengths entries must be real numbers, got None"),
         ],
         ids=[
             "missing_fields",
@@ -216,6 +219,9 @@ class TestSweepCommand:
             "master_seed_fractional",
             "master_seed_negative",
             "reps_zero",
+            "beta_string",
+            "beta_bool",
+            "strength_null",
         ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):

@@ -43,7 +43,7 @@ class TestMadNormalize:
         X = np.column_stack([np.ones(30), np.linspace(0, 1, 30)])
         out = mad_normalize(X)
         np.testing.assert_array_equal(out.dropped, [0])
-        np.testing.assert_array_equal(out.kept, [1])
+        assert out.X.shape == (30, 1)
         assert "zero median absolute deviation" in out.warnings[0]
 
     def test_affine_invariance(self):
@@ -195,9 +195,46 @@ class TestPipeline:
         thr = screen_threshold(params.p, 0.5)
         raw_hits = set(np.flatnonzero(chi2_scores(ds.X) >= thr).tolist())
         norm = mad_normalize(ds.X)
-        norm_hits = set(norm.kept[np.flatnonzero(two_sided_scores(norm.X) > thr)].tolist())
+        assert norm.dropped.size == 0  # so column j of norm.X is column j of ds.X
+        norm_hits = set(np.flatnonzero(two_sided_scores(norm.X) > thr).tolist())
         support = set(ds.support.tolist())
         assert len(support & norm_hits) < len(support & raw_hits) / 4
+
+
+class TestNormalizedOnce:
+    """One ``LabeledMatrix`` is normalized once, however many runs read it."""
+
+    @staticmethod
+    def matrix():
+        data = two_blob_data(p=200, gap=1.5, seed=3)
+        data.X[:, 4] = 2.0  # a zero-MAD column, so the reports carry a dropped count and a warning
+        return data
+
+    RUNS = [
+        lambda data: ifpca_pipeline(data, sweep=[0.1, 0.5, 1.0]),
+        lambda data: ifpca_pipeline(data, fdr=0.1),
+        lambda data: ifpca_pipeline(data, top_k=5),
+        baseline_kmeans,
+    ]
+
+    def test_one_call_same_reports(self, monkeypatch):
+        calls = []
+        real = ifpca.mad_normalize
+        monkeypatch.setattr(ifpca, "mad_normalize", lambda X: calls.append(X) or real(X))
+        shared = self.matrix()
+        together = [run(shared) for run in self.RUNS]
+        assert len(calls) == 1 and calls[0] is shared.X
+        apart = [run(self.matrix()) for run in self.RUNS]
+        assert len(calls) == 1 + len(self.RUNS)
+        assert together == apart
+        assert together[0].dropped_features == 1 and len(together[0].warnings) == 1
+
+    def test_cached_matrix_read_only(self):
+        data = self.matrix()
+        ifpca_pipeline(data, q=0.5).warnings.clear()
+        with pytest.raises(ValueError, match="read-only"):
+            data.normalized.X[0, 0] = 1.0
+        assert len(data.normalized.warnings) == 1
 
 
 class TestBaselineKmeans:

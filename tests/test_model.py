@@ -13,8 +13,6 @@ from rareweak.model import (
     gen_dataset,
     gen_labels,
     gen_mu,
-    load_dataset,
-    save_dataset,
 )
 
 
@@ -250,19 +248,6 @@ class TestGenDataset:
 
 
 class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        params = ArwParams(p=60, theta=0.6, beta=0.4, alpha=0.25, sign_mix_a=0.5)
-        ds = gen_dataset(params, seed=31)
-        path = tmp_path / "data.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(ds.X, back.X)
-        np.testing.assert_array_equal(ds.labels, back.labels)
-        np.testing.assert_array_equal(ds.mu, back.mu)
-        np.testing.assert_array_equal(ds.support, back.support)
-        assert back.seed == 31
-        assert back.params == params
-
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((2, 2)), labels=np.array([1, 2]))
@@ -270,12 +255,3 @@ class TestSerialization:
             Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]), support=np.array([2]))
         ds = Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]))
         np.testing.assert_array_equal(ds.support, [1])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_cell_named(self, tmp_path, bad):
-        ds = gen_dataset(ArwParams(p=20, theta=0.6, beta=0.4, alpha=0.25), seed=3)
-        ds.X[2, 5] = ds.X[3, 1] = bad
-        path = tmp_path / "data.csv"
-        save_dataset(ds, path)
-        with pytest.raises(ValueError, match=r"non-finite value -?(nan|inf) at row 2, column 5$"):
-            load_dataset(path)

@@ -9,14 +9,12 @@ from rareweak.numerics import chisq_sf, noncentral_chisq_sf
 from rareweak.spectral import (
     chi2_scores,
     leading_left_singular,
-    pi1_normal_approx,
     predict_null_selection,
     predict_selection,
     q_star,
     q_tilde,
     screen_threshold,
     select_features,
-    signal_exponent,
 )
 
 
@@ -188,12 +186,6 @@ class TestQtildeAndExponent:
         want = max(1 - 0.5, (math.sqrt(1 - 0.3 - 0.5) + math.sqrt(0.2)) ** 2)
         assert q_tilde(0.3, 0.5, 0.2) == pytest.approx(want, rel=1e-12)
 
-    def test_signal_exponent(self):
-        assert signal_exponent(0.5, 0.75, 0.4, 0.5) == pytest.approx(1 + 0.2 - 0.75, abs=1e-12)
-        got = signal_exponent(0.8, 0.75, 0.4, 0.2)
-        want = 1 + 0.2 - 0.75 - (math.sqrt(0.8) - math.sqrt(0.2)) ** 2
-        assert got == pytest.approx(want, rel=1e-12)
-
 
 class TestPredictSelection:
     def test_tiny_q_gives_median(self):
@@ -236,17 +228,6 @@ class TestPredictSelection:
         frac = float(np.mean(np.sum(Z * Z, axis=0) > cut))
         sigma = math.sqrt(pred.pi0 * (1 - pred.pi0) / p_cols)
         assert abs(frac - pred.pi0) <= 3 * sigma
-
-    def test_normal_approx_improves_with_n(self):
-        # labeled approximation: converges to the exact tail as n grows
-        ratios = []
-        for p, theta in [(10_000, 0.5), (10_000, 0.8), (100_000, 0.8)]:
-            params = ArwParams(p=p, theta=theta, beta=0.6, r=0.3)
-            pred = predict_selection(params, q=0.8)
-            ratios.append(pi1_normal_approx(0.8, 0.3, p) / pred.pi1)
-        assert 0.4 < ratios[0] < 1.1
-        assert abs(ratios[-1] - 1.0) < 0.15
-        assert abs(ratios[2] - 1.0) < abs(ratios[0] - 1.0)
 
 
 @pytest.mark.slow

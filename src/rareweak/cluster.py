@@ -20,9 +20,14 @@ loop is the only place the two objectives differ. The engine has an
 exact solver, which enumerates every (support, sign pattern) pair in
 chunks and is budget-capped, and a greedy solver, which does forward
 selection plus best-improvement 1-swap local search from several
-restarts. The greedy solver scores all p candidate columns of a step in
-one n-by-p scratch array, allocated once per search and laid out like X,
-so no candidate evaluation allocates an n-by-p temporary.
+restarts. The greedy solver scores candidates in batches of bases: a
+forward step scores one running sum per restart, and a swap sweep the N
+sums of one restart with one slot emptied each. With t = sgn(b),
+|b + s x| = |b| + s t x + 2 max(0, -|b| - s t x), so every candidate's
+value comes from one product T^T X plus a correction that is nonzero
+only on rows where |b_i| is below that row's largest |x_ij|. Those rows
+are gathered whole bases at a time, at most n rows per chunk, into one
+n-by-p buffer kept for the search.
 
 sgn(0) is taken as +1 throughout: a zero is not a legal class label, so
 it is collapsed deterministically.
@@ -163,26 +168,61 @@ def _exact_search(
     return np.asarray(support), pattern, running, best_obj
 
 
-def _best_candidate(
-    base: np.ndarray, X: np.ndarray, signs: tuple, blocked: list[int], buf: np.ndarray
-) -> tuple[float, int, int]:
-    """(value, column, sign) maximizing ||base + sign * x_j||_1 over unblocked j.
+def _candidate_values(
+    B: np.ndarray, X: np.ndarray, signs: tuple, row_max: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """||B[:, k] + s x_j||_1 for every base k, sign s and column j, as an (m, len(signs), p) array.
 
-    Ties go to the first sign, then the lowest column. Each sign writes
-    |base + X| or |base - X| into ``buf``, an n-by-p scratch array laid
-    out like X (so the column sums reduce in the same order as over a
-    fresh temporary), with no n-by-p copy of sign * X.
+    With a = |b| and t = sgn(b), |b + s x| = a + s t x + 2 max(0, -a - s t x).
+    Summed over rows, the first two terms are one product T^T X for all
+    bases. The last term is nonzero only on rows where a is below
+    ``row_max``, the largest |x_ij| of the row; there it is
+    2 max(-s t x, a) - 2a. Only those rows of X are gathered, into ``buf``
+    (n by p), a chunk of whole bases holding at most n rows at a time.
     """
-    best = None
-    for s in signs:
-        (np.add if s > 0 else np.subtract)(base[:, None], X, out=buf)
-        vals = np.abs(buf, out=buf).sum(axis=0)
-        _require_finite(vals)
-        vals[blocked] = -np.inf
-        j = int(np.argmax(vals))
-        if best is None or vals[j] > best[0]:
-            best = (float(vals[j]), j, s)
-    return best
+    n, m = B.shape
+    A = np.abs(B)
+    T = np.where(B >= 0, 1.0, -1.0)
+    need = A < row_max[:, None]
+    # vals[k, s] first sums max(-s t x, a) over the needed rows of base k
+    vals = np.empty((m, len(signs), X.shape[1]))
+    ends = np.cumsum(need.sum(axis=0))
+    lo = 0
+    while lo < m:
+        # as many bases as fit in n gathered rows; one base needs at most n
+        hi = int(np.searchsorted(ends, ends[lo] - need[:, lo].sum() + n, side="right"))
+        ks, rows = np.nonzero(need[:, lo:hi].T)  # rows grouped by base
+        ks += lo
+        a = A[rows, ks][:, None]
+        bounds = np.searchsorted(ks, np.arange(lo, hi + 1))
+        gathered = buf[: rows.size]
+        for si, s in enumerate(signs):
+            # the rows are in range; mode="clip" lets take write to ``out`` without a temporary
+            np.take(X, rows, axis=0, out=gathered, mode="clip")
+            gathered *= -s * T[rows, ks][:, None]
+            np.maximum(gathered, a, out=gathered)
+            for k in range(lo, hi):
+                np.add.reduce(gathered[bounds[k - lo] : bounds[k - lo + 1]], axis=0, out=vals[k, si])
+        lo = hi
+    vals *= 2
+    vals += np.where(need, -A, A).sum(axis=0)[:, None, None]  # a, less 2a on the needed rows
+    linear = T.T @ X
+    for si, s in enumerate(signs):
+        (np.add if s > 0 else np.subtract)(vals[:, si], linear, out=vals[:, si])
+    return vals
+
+
+def _best_moves(vals: np.ndarray, blocked: np.ndarray, signs: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per base k, the largest vals[k, s, j] with blocked[k, j] False: (values, columns, signs).
+
+    Ties go to the first sign, then the lowest column.
+    """
+    m, _, p = vals.shape
+    np.copyto(vals, -np.inf, where=blocked[:, None, :])
+    flat = vals.reshape(m, -1)
+    best = flat.argmax(axis=1)
+    sign_index, cols = np.divmod(best, p)
+    return flat[np.arange(m), best], cols, np.asarray(signs)[sign_index]
 
 
 def _greedy_search(
@@ -198,43 +238,51 @@ def _greedy_search(
     results are deterministic given the seed. Returns the sorted support,
     its signs (first one positive: w and -w tie), the weighted column sum
     and its L1 norm.
+
+    The restarts' forward steps are scored together, one base per
+    restart; each restart's swap sweeps score its N slots together.
     """
     n, p = X.shape
     _check_sparsity(p, N)
+    _require_finite(X)
+    X = np.asarray(X, dtype=float)
+    row_max = np.maximum(X.max(axis=1), -X.min(axis=1))
+    buf = np.empty((n, p))
     rng = np.random.default_rng(seed)
-    buf = np.empty_like(X, dtype=float)
-    firsts: list[int | None] = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
+    firsts = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
+    chosen = [[] if first is None else [first] for first in firsts]
+    weights = [[] if first is None else [1] for first in firsts]
+    running = [np.zeros(n) if first is None else np.zeros(n) + X[:, first] for first in firsts]
+    while growing := [r for r in range(len(firsts)) if len(chosen[r]) < N]:
+        blocked = np.zeros((len(growing), p), dtype=bool)
+        for k, r in enumerate(growing):
+            blocked[k, chosen[r]] = True
+        bases = np.stack([running[r] for r in growing], axis=1)
+        _, cols, sgns = _best_moves(_candidate_values(bases, X, signs, row_max, buf), blocked, signs)
+        for r, j, s in zip(growing, cols.tolist(), sgns.tolist()):
+            chosen[r].append(j)
+            weights[r].append(s)
+            running[r] = running[r] + s * X[:, j]
     best = None
-    for first in firsts:
-        chosen: list[int] = []
-        weights: list[int] = []
-        running = np.zeros(n)
-        if first is not None:
-            chosen, weights = [first], [1]
-            running = running + X[:, first]
-        while len(chosen) < N:
-            _, j, s = _best_candidate(running, X, signs, chosen, buf)
-            chosen.append(j)
-            weights.append(s)
-            running = running + s * X[:, j]
-        obj = _l1_objective(running)
+    for r in range(len(firsts)):
+        obj = _l1_objective(running[r])
         for _ in range(_MAX_SWEEPS):
-            best_gain = 1e-9
-            best_move = None
-            for pos, i in enumerate(chosen):
-                base = running - weights[pos] * X[:, i]
-                val, j, s = _best_candidate(base, X, signs, chosen[:pos] + chosen[pos + 1 :], buf)
-                if val - obj > best_gain:
-                    best_gain = val - obj
-                    best_move = (pos, j, s)
-            if best_move is None:
+            # base k is the running sum with slot k emptied; it may refill
+            # from any column outside the other slots
+            bases = running[r][:, None] - X[:, chosen[r]] * np.asarray(weights[r])
+            blocked = np.zeros((N, p), dtype=bool)
+            blocked[:, chosen[r]] = True
+            blocked[np.arange(N), chosen[r]] = False
+            vals, cols, sgns = _best_moves(_candidate_values(bases, X, signs, row_max, buf), blocked, signs)
+            pos = int(np.argmax(vals))  # the first slot with the largest gain
+            if vals[pos] - obj <= 1e-9:
                 break
-            pos, j, s = best_move
-            running = running - weights[pos] * X[:, chosen[pos]] + s * X[:, j]
-            chosen[pos], weights[pos] = j, s
-            obj = _l1_objective(running)
+            j, s = int(cols[pos]), int(sgns[pos])
+            running[r] = running[r] - weights[r][pos] * X[:, chosen[r][pos]] + s * X[:, j]
+            chosen[r][pos], weights[r][pos] = j, s
+            obj = _l1_objective(running[r])
         if best is None or obj > best[0] + 1e-12:
-            best = (obj, chosen, weights, running)
+            best = (obj, chosen[r], weights[r], running[r])
     obj, chosen, weights, running = best
     order = np.argsort(chosen)
     support = np.asarray(chosen)[order]

@@ -488,6 +488,18 @@ class SweepSpec:
         _check_count(self, "master_seed", 0)
         if self.strength_kind not in ("alpha", "r", "alpha_ratio"):
             raise ValueError(f"bad strength_kind {self.strength_kind!r}")
+        # checked per cell too, by ArwParams and PhaseQuery; here so that a bad value fails the spec once
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        if not 0.0 <= self.sign_mix_a <= 0.5:
+            raise ValueError("sign_mix_a must lie in [0, 1/2]")
+        if len(self.ratio_reference) != 2:
+            raise ValueError(f"ratio_reference must be a (problem, bound kind) pair, got {list(self.ratio_reference)!r}")
+        problem, kind = self.ratio_reference
+        if problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {problem!r}")
+        if kind not in BOUND_KINDS:
+            raise ValueError(f"unknown bound kind {kind!r}")
         _check_methods(self.methods)
 
     def to_dict(self) -> dict:

@@ -207,6 +207,9 @@ class TestSweepCommand:
             (lambda spec: {**spec, "betas": ["x"]}, "betas entries must be real numbers, got 'x'"),
             (lambda spec: {**spec, "betas": [0.3, False]}, "betas entries must be real numbers, got False"),
             (lambda spec: {**spec, "strengths": [0.1, None]}, "strengths entries must be real numbers, got None"),
+            (lambda spec: {**spec, "theta": 1.5}, "theta must lie in (0, 1)"),
+            (lambda spec: {**spec, "sign_mix_a": 0.9}, "sign_mix_a must lie in [0, 1/2]"),
+            (lambda spec: {**spec, "ratio_reference": ["nope", "x"]}, "unknown problem 'nope'"),
         ],
         ids=[
             "missing_fields",
@@ -222,6 +225,9 @@ class TestSweepCommand:
             "beta_string",
             "beta_bool",
             "strength_null",
+            "theta_out_of_range",
+            "sign_mix_out_of_range",
+            "unknown_ratio_reference",
         ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):

@@ -1,12 +1,16 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rareweak import harness
 from rareweak.cluster import (
     EnumerationBudgetError,
+    _candidate_values,
+    _greedy_search,
     classical_pca,
     default_sparsity,
     enum_configs,
@@ -207,7 +211,7 @@ def greedy_solve(X, N, signs, seed):
 
 @pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
 def test_greedy_result_independent_of_layout(signs):
-    # the search's scratch array follows X's memory layout; its result must not
+    # the result must not depend on X's memory layout
     for seed, X, N in greedy_instances():
         rng = np.random.default_rng(seed)
         wide = rng.standard_normal((X.shape[0], 2 * X.shape[1]))
@@ -216,6 +220,153 @@ def test_greedy_result_independent_of_layout(signs):
         want = greedy_solve(np.ascontiguousarray(X), N, signs, seed)
         for Y in (np.asfortranarray(X), wide[:, cols]):
             assert greedy_solve(Y, N, signs, seed) == want, seed
+
+
+def greedy_reference(X, N, signs, restarts, seed):
+    """The greedy search as it ran before candidates were scored from one product.
+
+    Each candidate step writes ||b + s x_j||_1 for all p columns from a
+    full n-by-p pass per sign, and a swap sweep does so once per slot.
+    Returns the sorted support, its signs, the weighted column sum and
+    its L1 norm, as _greedy_search does.
+    """
+    n, p = X.shape
+
+    def best_candidate(base, blocked):
+        best = None
+        for s in signs:
+            vals = np.abs(base[:, None] + s * X).sum(axis=0)
+            vals[blocked] = -np.inf
+            j = int(np.argmax(vals))
+            if best is None or vals[j] > best[0]:
+                best = (float(vals[j]), j, s)
+        return best
+
+    rng = np.random.default_rng(seed)
+    firsts = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]
+    best = None
+    for first in firsts:
+        chosen, weights, running = [], [], np.zeros(n)
+        if first is not None:
+            chosen, weights = [first], [1]
+            running = running + X[:, first]
+        while len(chosen) < N:
+            _, j, s = best_candidate(running, chosen)
+            chosen.append(j)
+            weights.append(s)
+            running = running + s * X[:, j]
+        obj = float(np.abs(running).sum())
+        for _ in range(50):
+            best_gain, best_move = 1e-9, None
+            for pos, i in enumerate(chosen):
+                val, j, s = best_candidate(running - weights[pos] * X[:, i], chosen[:pos] + chosen[pos + 1 :])
+                if val - obj > best_gain:
+                    best_gain, best_move = val - obj, (pos, j, s)
+            if best_move is None:
+                break
+            pos, j, s = best_move
+            running = running - weights[pos] * X[:, chosen[pos]] + s * X[:, j]
+            chosen[pos], weights[pos] = j, s
+            obj = float(np.abs(running).sum())
+        if best is None or obj > best[0] + 1e-12:
+            best = (obj, chosen, weights, running)
+    obj, chosen, weights, running = best
+    order = np.argsort(chosen)
+    pattern = np.asarray(weights, dtype=float)[order]
+    if pattern[0] < 0:
+        pattern, running = -pattern, -running
+    return np.asarray(chosen)[order], pattern, running, obj
+
+
+def reference_instances():
+    """(label, X, N, restarts, seed): 240 small seeded instances and four at p = 2000."""
+    for i in range(240):
+        rng = np.random.default_rng([41, i])
+        n = 2 if i % 8 == 0 else int(rng.integers(2, 40))
+        p = int(rng.integers(2, 60))
+        # integer entries make exact ties between candidates
+        X = rng.integers(-2, 3, (n, p)).astype(float) if i % 3 == 0 else rng.standard_normal((n, p))
+        if i % 4 == 1:
+            X = np.asfortranarray(X)
+        elif i % 4 == 2:
+            wide = rng.standard_normal((n, 2 * p))
+            wide[:, ::2] = X
+            X = wide[:, ::2]
+        N = p if i % 5 == 0 else int(rng.integers(1, min(p, 15) + 1))
+        yield f"small {i}", X, N, int(rng.integers(1, 5)), i
+    spec = harness.SweepSpec(p=2000, theta=0.5, betas=(0.66, 0.68), strength_kind="alpha", strengths=(0.1,), reps=1,
+                             methods={"sparse_agg_greedy": {}})
+    for i, beta in enumerate((0.66, 0.68, 0.66, 0.68)):
+        params = spec.cell_params(beta, spec.strengths[0])
+        yield f"p=2000 {i}", gen_dataset(params, seed=70 + i).X, default_sparsity(params.expected_signals), 8, i
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_greedy_matches_reference(signs):
+    seen = {"integer": 0, "N=p": 0, "n=2": 0, "fortran": 0, "strided": 0}
+    for label, X, N, restarts, seed in reference_instances():
+        support, pattern, running, obj = _greedy_search(X, N, signs, restarts, seed)
+        want = greedy_reference(X, N, signs, restarts, seed)
+        assert support.tolist() == want[0].tolist(), label
+        assert pattern.tolist() == want[1].tolist(), label
+        assert running.tobytes() == want[2].tobytes(), label
+        assert obj == want[3], label
+        seen["integer"] += bool(np.all(X == np.round(X)))
+        seen["N=p"] += N == X.shape[1]
+        seen["n=2"] += X.shape[0] == 2
+        seen["fortran"] += not X.flags.c_contiguous and X.flags.f_contiguous
+        seen["strided"] += not X.flags.c_contiguous and not X.flags.f_contiguous
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_candidate_values_match_direct_sums(signs):
+    rng = np.random.default_rng(42)
+    for i in range(40):
+        n, p = int(rng.integers(1, 30)), int(rng.integers(1, 80))
+        X = rng.integers(-3, 4, (n, p)).astype(float) if i % 4 == 0 else rng.standard_normal((n, p))
+        with_zeros = rng.standard_normal(n) * 4
+        with_zeros[rng.random(n) < 0.5] = 0.0
+        # random bases of several scales (wide ones need few rows of
+        # X gathered, zero ones need all), bases with zero entries, and
+        # enough bases that the gathered rows exceed n and are chunked
+        B = np.column_stack(
+            [rng.standard_normal(n) * scale for scale in (0.1, 1.0, 3.0, 20.0)]
+            + [np.zeros(n), with_zeros, X[:, : min(p, 3)].sum(axis=1)]
+            + [rng.standard_normal(n) for _ in range(int(rng.integers(0, 6)))]
+        )
+        vals = _candidate_values(B, X, signs, np.abs(X).max(axis=1), np.empty((n, p)))
+        assert vals.shape == (B.shape[1], len(signs), p)
+        for k in range(B.shape[1]):
+            for si, s in enumerate(signs):
+                want = np.abs(B[:, k][:, None] + s * X).sum(axis=0)
+                np.testing.assert_allclose(vals[k, si], want, rtol=1e-12, err_msg=f"instance {i}, base {k}, sign {s}")
+
+
+def test_concurrent_searches_match_serial():
+    rng = np.random.default_rng(43)
+    inputs = [(rng.standard_normal((40, 600)), 10, signs) for signs in ((1,), (1, -1))]
+
+    def solve(X, N, signs):
+        support, pattern, running, obj = _greedy_search(X, N, signs, 8, 3)
+        return support.tolist(), pattern.tolist(), running.tobytes(), obj
+
+    want = [solve(*args) for args in inputs]
+    got = [None, None]
+    together = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        with harness._one_blas_thread():
+            together.wait()
+            got[i] = solve(*inputs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 class TestSparseAggregationGreedy:

@@ -386,6 +386,24 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{name} entries must be real numbers, got {shown}$"):
             tiny_sweep(**{name: grid})
 
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            ({"theta": 1.5}, r"theta must lie in \(0, 1\)"),
+            ({"theta": 0.0}, r"theta must lie in \(0, 1\)"),
+            ({"theta": math.nan}, r"theta must lie in \(0, 1\)"),
+            ({"sign_mix_a": 0.9}, r"sign_mix_a must lie in \[0, 1/2\]"),
+            ({"sign_mix_a": -0.1}, r"sign_mix_a must lie in \[0, 1/2\]"),
+            ({"ratio_reference": ("nope", "x")}, "unknown problem 'nope'"),
+            ({"ratio_reference": ("clustering", "x")}, "unknown bound kind 'x'"),
+            ({"ratio_reference": ("clustering",)}, r"ratio_reference must be a \(problem, bound kind\) pair"),
+        ],
+    )
+    def test_bad_model_fields_rejected_when_built(self, edit, needle):
+        # these used to fail each cell through ArwParams or PhaseQuery instead of the spec
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            tiny_sweep(**edit)
+
     def test_numeric_grid_entries_kept_as_given(self):
         sweep = tiny_sweep(betas=(0.2, np.float64(0.4)), strengths=(1, 1.5))
         assert sweep.to_dict()["strengths"] == [1, 1.5] and type(sweep.to_dict()["strengths"][0]) is int

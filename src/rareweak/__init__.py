@@ -31,7 +31,6 @@ from .model import (
     ArwParams,
     Dataset,
     NoiseSpec,
-    calibrate,
     diagonal_coloring,
     gen_dataset,
     gen_labels,

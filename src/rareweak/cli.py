@@ -95,7 +95,6 @@ def _add_ifpca(sub):
     mode.add_argument("--fdr", type=float)
     mode.add_argument("--top-k", type=int)
     mode.add_argument("--sweep", help="q grid start:stop:step")
-    p.add_argument("--literal-scaling", action="store_true", help="divide the screen statistic by 2n instead of sqrt(2n)")
     p.add_argument("--baseline-kmeans", action="store_true", help="also report the plain k-means error count")
     p.add_argument("--out", type=Path)
 
@@ -222,7 +221,7 @@ def cmd_ifpca(ns) -> int:
     else:
         kwargs["top_k"] = ns.top_k
     try:
-        report = ifpca_pipeline(data, literal_scaling=ns.literal_scaling, **kwargs)
+        report = ifpca_pipeline(data, **kwargs)
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC

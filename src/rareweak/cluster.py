@@ -86,6 +86,23 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("X must be finite")
 
 
+def _checked_row_max(X: np.ndarray, N: int) -> np.ndarray:
+    """max_j |x_ij| of each row of X, once X is known to be finite and its N-column sums to fit.
+
+    With S the sum of these row maxima, every sum of at most N signed
+    columns, its L1 norm and every term of the greedy scorer are at most
+    3 N S in size; X is rejected with ValueError, before any of them is
+    formed, when 4 N S is not finite.
+    """
+    _require_finite(X)
+    row_max = np.maximum(X.max(axis=1), -X.min(axis=1))
+    with np.errstate(over="ignore"):
+        bound = 4.0 * N * row_max.sum()
+    if not np.isfinite(bound):
+        raise ValueError(f"sums of {N} columns of X may overflow: entries too large")
+    return row_max
+
+
 def default_sparsity(expected_signals: float) -> int:
     """Ceiling of the expected signal count; the canonical choice of N."""
     return max(1, math.ceil(expected_signals))
@@ -141,7 +158,7 @@ def _exact_search(
         raise EnumerationBudgetError(
             f"{n_configs} configurations exceed the enumeration budget {budget}; use {solver_hint} instead"
         )
-    _require_finite(X)
+    _checked_row_max(X, N)
     n_patterns = len(signs) ** (N - 1)
     # a chunk holds at most `pairs` (support, pattern) pairs, so its
     # (n, supports, patterns, N) product stays within 200_000 entries:
@@ -244,9 +261,8 @@ def _greedy_search(
     """
     n, p = X.shape
     _check_sparsity(p, N)
-    _require_finite(X)
     X = np.asarray(X, dtype=float)
-    row_max = np.maximum(X.max(axis=1), -X.min(axis=1))
+    row_max = _checked_row_max(X, N)
     buf = np.empty((n, p))
     rng = np.random.default_rng(seed)
     firsts = [None] + [int(rng.integers(p)) for _ in range(max(0, restarts - 1))]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import cluster, hyptest, metrics, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
-from .model import ArwParams, Dataset, NoiseSpec, _check_count, _field, _is_integer, gen_dataset
+from .model import ArwParams, Dataset, NoiseSpec, _check_count, _check_sample_size, _field, _is_integer, gen_dataset
 from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
 
 __all__ = [
@@ -491,6 +491,7 @@ class SweepSpec:
         # checked per cell too, by ArwParams and PhaseQuery; here so that a bad value fails the spec once
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
+        _check_sample_size(self.p, self.theta)
         if not 0.0 <= self.sign_mix_a <= 0.5:
             raise ValueError("sign_mix_a must lie in [0, 1/2]")
         if len(self.ratio_reference) != 2:
@@ -587,17 +588,14 @@ def _summarize(group: str, good: list[dict]) -> dict:
 
 
 def _aggregate_cell(records: list[TrialRecord]) -> dict:
+    """Per-method statistics of a cell's trials, which all ran the same methods."""
     out = {"clustering": {}, "recovery": {}, "tests": {}, "n_errors": 0}
     for group in ("clustering", "recovery", "tests"):
-        for name in sorted({k for r in records for k in getattr(r, group)}):
-            entries = [getattr(r, group).get(name, {}) for r in records]
-            errors = [e for e in entries if "error" in e]
-            out["n_errors"] += len(errors)
-            good = [e for e in entries if e and "error" not in e]
-            if not good:
-                out[group][name] = {"error": errors[0]["error"] if errors else "no data"}
-                continue
-            out[group][name] = _summarize(group, good)
+        for name in sorted(getattr(records[0], group)):
+            entries = [getattr(r, group)[name] for r in records]
+            good = [e for e in entries if "error" not in e]
+            out["n_errors"] += len(entries) - len(good)
+            out[group][name] = _summarize(group, good) if good else {"error": entries[0]["error"]}
     return out
 
 

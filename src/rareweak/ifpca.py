@@ -4,10 +4,11 @@ Real data is heteroscedastic across features, so columns are first
 robustly standardized: center by the mean, scale by the median absolute
 deviation times 1/0.6745 (the constant that makes the result unit
 variance for Gaussian columns). Screening is then two-sided in the
-standardized squared norms, since a feature can be informative through
-either inflated or deflated spread. Clustering is the exact 1-D 2-means
-split of the leading left singular vector of the selected submatrix,
-scored against the provided class labels up to the global flip.
+standardized squared norm (||x*||^2 - n) / sqrt(2n), since a feature can
+be informative through either inflated or deflated spread. Clustering is
+the exact 1-D 2-means split of the leading left singular vector of the
+selected submatrix, scored against the provided class labels up to the
+global flip.
 
 The threshold can be fixed (q), chosen by a false-discovery-rate rule
 on analytic null P-values, set to hit an exact selected-feature count,
@@ -68,7 +69,6 @@ class NormalizedMatrix:
 class LabeledMatrix:
     X: np.ndarray
     class_labels: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         self.class_labels = np.asarray(self.class_labels)
@@ -107,19 +107,16 @@ def mad_normalize(X: np.ndarray) -> NormalizedMatrix:
     return NormalizedMatrix(X=out, dropped=dropped, warnings=warnings)
 
 
-def two_sided_scores(Xstar: np.ndarray, literal_scaling: bool = False) -> np.ndarray:
+def two_sided_scores(Xstar: np.ndarray) -> np.ndarray:
     """|standardized squared column norm| used by the applied screen.
 
-    The default divides ||x*||^2 - n by sqrt(2n), the scaling under
-    which null scores are unit variance and the one-sided screen is
-    recovered on nonnegative scores. ``literal_scaling`` divides by 2n
-    instead (a variant kept for comparison; it selects far fewer
-    features at the same q).
+    (||x*||^2 - n) / sqrt(2n): on n iid standard normal entries the signed
+    score has mean 0 and variance 1, and on nonnegative scores this is the
+    one-sided chi-square screen.
     """
     n = Xstar.shape[0]
     diff = np.sum(Xstar * Xstar, axis=0) - n
-    scale = (2 * n) if literal_scaling else math.sqrt(2 * n)
-    return np.abs(diff) / scale
+    return np.abs(diff) / math.sqrt(2 * n)
 
 
 @dataclass
@@ -145,9 +142,8 @@ def _errors_against_labels(pred: np.ndarray, class_labels: np.ndarray) -> int:
     return min(direct, truth.size - direct)
 
 
-def _null_two_sided_pvalues(scores: np.ndarray, n: int, literal_scaling: bool) -> np.ndarray:
-    scale = (2 * n) if literal_scaling else math.sqrt(2 * n)
-    diff = scores * scale
+def _null_two_sided_pvalues(scores: np.ndarray, n: int) -> np.ndarray:
+    diff = scores * math.sqrt(2 * n)
     upper = chisq_sf_vec(n + diff, n)
     lower = 1.0 - chisq_sf_vec(np.maximum(n - diff, 0.0), n)
     return np.minimum(upper + lower, 1.0)
@@ -160,8 +156,6 @@ def ifpca_pipeline(
     fdr: float | None = None,
     top_k: int | None = None,
     sweep: list[float] | None = None,
-    literal_scaling: bool = False,
-    normalize: bool = True,
 ) -> PipelineReport:
     """Normalize, screen, cluster, and score against the class labels.
 
@@ -176,14 +170,10 @@ def ifpca_pipeline(
     cut sqrt(2 q log p), through ``spectral.select_features``, and need
     q > 0.
 
-    The robust standardization is ``data.normalized``, computed once per
-    ``data``. ``normalize=False`` skips it, for input that is already unit
-    scale; a NaN or inf entry still raises ValueError naming its row and
-    column. Note that standardization mostly absorbs a symmetric two-class
-    location signal of sub-unit size (the variance inflation 1 + tau^2
-    nearly cancels against the mixture's inflated robust scale), so
-    synthetic calibrated data should be run unnormalized when comparing
-    against the plain screening methods.
+    Every mode screens ``data.normalized``, computed once per ``data``;
+    a NaN or inf entry raises ValueError naming its row and column.
+    Calibrated synthetic data belongs to ``cluster.if_pca``, because the
+    MAD scaling absorbs a sub-unit location signal.
     """
     modes = [m for m, v in (("q", q), ("fdr", fdr), ("top_k", top_k), ("sweep", sweep)) if v is not None]
     if len(modes) != 1:
@@ -191,15 +181,10 @@ def ifpca_pipeline(
     mode = modes[0]
     if mode == "sweep" and len(sweep) == 0:
         raise ValueError("sweep needs at least one q value")
-    if normalize:
-        norm = data.normalized
-    else:
-        X = np.asarray(data.X, dtype=float)
-        _require_finite_cells(X, "ifpca_pipeline")
-        norm = NormalizedMatrix(X=X, dropped=np.array([], dtype=int))
+    norm = data.normalized
     Xstar = norm.X
     n, p = Xstar.shape
-    scores = two_sided_scores(Xstar, literal_scaling=literal_scaling)
+    scores = two_sided_scores(Xstar)
 
     # each mode resolves its cuts as (q reported on the row, selected columns)
     if mode == "top_k":
@@ -209,7 +194,7 @@ def ifpca_pipeline(
         implied_q = float(scores[order[top_k - 1]] ** 2 / (2 * math.log(p)))
         cuts = [(implied_q, np.sort(order[:top_k]))]
     elif mode == "fdr":
-        pv = _null_two_sided_pvalues(scores, n, literal_scaling)
+        pv = _null_two_sided_pvalues(scores, n)
         cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]
     else:
         cuts = [(float(qv), select_features(scores, p, qv)) for qv in ([q] if mode == "q" else sweep)]
@@ -333,4 +318,4 @@ def load_labeled_csv(
         X = np.delete(X, li, axis=1)
         labels = np.loadtxt(data_path, dtype=str, usecols=[li], **cells)[:, 0]
     _require_finite_cells(X, data_path, names)
-    return LabeledMatrix(X=X, class_labels=labels, feature_names=names)
+    return LabeledMatrix(X=X, class_labels=labels)

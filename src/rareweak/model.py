@@ -24,7 +24,6 @@ __all__ = [
     "ArwParams",
     "NoiseSpec",
     "Dataset",
-    "calibrate",
     "gen_labels",
     "gen_mu",
     "gen_dataset",
@@ -79,12 +78,20 @@ def _sample_size(p: int, theta: float) -> int:
     return int(math.floor(p**theta + 0.5))
 
 
+def _check_sample_size(p: int, theta: float) -> None:
+    """Reject a calibration with fewer than two samples."""
+    n = _sample_size(p, theta)
+    if n < 2:
+        raise ValueError(f"calibration gives n={n} < 2")
+
+
 @dataclass(frozen=True)
 class ArwParams:
     """Calibration tuple (p, theta, beta, alpha-or-r, sign mix).
 
-    Exactly one of ``alpha`` and ``r`` must be set. ``alpha = inf`` is
-    allowed and gives tau = 0, i.e. the pure-noise null model.
+    Exactly one of ``alpha`` and ``r`` must be set, and n = round(p^theta)
+    must be at least 2. ``alpha = inf`` is allowed and gives tau = 0, i.e.
+    the pure-noise null model.
     ``sign_mix_a`` is the fraction of nonzero feature effects that are
     negative (0 = all positive, 1/2 = balanced).
     """
@@ -100,6 +107,7 @@ class ArwParams:
         _check_count(self, "p", 2)
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
+        _check_sample_size(self.p, self.theta)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if (self.alpha is None) == (self.r is None):
@@ -151,20 +159,6 @@ class ArwParams:
             r=None if r is None else float(r),
             sign_mix_a=float(_field(d, "sign_mix_a", numbers.Real, 0.0)),
         )
-
-
-def calibrate(params: ArwParams) -> tuple[int, float, float]:
-    """Resolve (n, epsilon, tau) from the exponent calibration.
-
-    Rejects degenerate setups: fewer than two samples, or an expected
-    signal count so small that no trial would ever carry a signal.
-    """
-    n = params.n
-    if n < 2:
-        raise ValueError(f"calibration gives n={n} < 2")
-    if params.expected_signals < 1e-9:
-        raise ValueError("expected signal count below 1e-9; no signals would ever appear")
-    return n, params.epsilon, params.tau
 
 
 @dataclass
@@ -270,7 +264,7 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
     one more while it runs).
     """
     noise = noise or NoiseSpec.white()
-    n, epsilon, tau = calibrate(params)
+    n, epsilon, tau = params.n, params.epsilon, params.tau
     ss_labels, ss_mu, ss_noise = np.random.SeedSequence(seed).spawn(3)
     labels = gen_labels(n, np.random.default_rng(ss_labels))
     mu, support = gen_mu(params.p, epsilon, tau, params.sign_mix_a, np.random.default_rng(ss_mu))

@@ -74,7 +74,8 @@ class PhaseAnswer:
 def _pick(beta, pieces):
     """Evaluate a piecewise curve given as [(upper_break, value, name), ...].
 
-    The last entry must have upper_break = 1. A beta within _BREAK_EPS of an
+    The last entry must have upper_break = 1, so every beta < 1 (which
+    PhaseQuery guarantees) lands in a piece. A beta within _BREAK_EPS of an
     interior breakpoint is reported with the segment marker 'breakpoint'
     (both sides agree in value there by continuity).
     """
@@ -86,8 +87,6 @@ def _pick(beta, pieces):
             )
             return value, ("breakpoint" if near_edge else name)
         prev = upper
-    _, value, name = pieces[-1]
-    return value, name
 
 
 def _clustering_stat(theta, beta, signed):

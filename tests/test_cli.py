@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rareweak.cli import main
+from rareweak.ifpca import ifpca_pipeline, load_labeled_csv
 
 
 def run_cli(args, capsys):
@@ -31,6 +33,11 @@ class TestBoundaryCommand:
         code, _, _ = run_cli(["boundary", "--theta", "0.4", "--out", str(path)], capsys)
         assert code == 0
         assert path.exists() and "alpha_boundary" in path.read_text()
+
+    def test_theta_out_of_range_exit_2(self, capsys):
+        code, out, err = run_cli(["boundary", "--theta", "1.5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid query:") and "theta must lie in (0, 1)" in err
 
 
 class TestSimulateCommand:
@@ -64,6 +71,7 @@ class TestSimulateCommand:
             ({"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1}, "field 'p' must be an integer"),
             ({"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1}, "alpha must be positive"),
             ({"params": PARAMS, "methods": ONE, "seed": -1}, "seed must be an integer of at least 0"),
+            ({"params": {**PARAMS, "p": 100, "theta": 0.05}, "methods": ONE, "seed": 1}, "calibration gives n=1 < 2"),
         ],
         ids=[
             "flags",
@@ -76,6 +84,7 @@ class TestSimulateCommand:
             "fractional_p",
             "nan_alpha",
             "negative_seed",
+            "n_one",
         ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):
@@ -90,8 +99,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "flags, needle",
-        [(["--seed", "-1"], "seed must be an integer of at least 0"), (["--p", "1"], "p must be an integer of at least 2")],
-        ids=["negative_seed", "p_one"],
+        [
+            (["--seed", "-1"], "seed must be an integer of at least 0"),
+            (["--p", "1"], "p must be an integer of at least 2"),
+            (["--p", "100", "--theta", "0.05", "--beta", "0.5"], "calibration gives n=1 < 2"),
+        ],
+        ids=["negative_seed", "p_one", "n_one"],
     )
     def test_invalid_flags_exit_2(self, capsys, flags, needle):
         code, _, err = run_cli(["simulate", "--alpha", "0.1", *flags], capsys)
@@ -191,6 +204,23 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "result.csv").read_text())))
         assert len(rows) == 2
 
+    def test_out_with_invalid_cell(self, tmp_path, capsys):
+        # a beta of 1.5 fails only its own cell, whose CSV row carries the error
+        path = self.sweep_spec(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "betas": [0.3, 1.5]}))
+        code, out, _ = run_cli(["sweep", "--spec", str(path), "--out", str(tmp_path / "result")], capsys)
+        assert code == 3 and out == ""
+        cells = json.loads((tmp_path / "result.json").read_text())["cells"]
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "result.csv").read_text())))
+        assert len(cells) == len(rows) == 4
+        for cell, row in zip(cells, rows):
+            assert row["cell"] == str(cell["cell"]) and row["beta"] == str(cell["beta"])
+            if cell["beta"] == 1.5:
+                assert row["error"] == cell["error"] == "beta must lie in (0, 1)"
+                assert row["clustering_hamming:simple_agg"] == ""
+            else:
+                assert row["error"] == "" and row["clustering_hamming:simple_agg"] != ""
+
     @pytest.mark.parametrize(
         "edit, needle",
         [
@@ -210,6 +240,7 @@ class TestSweepCommand:
             (lambda spec: {**spec, "theta": 1.5}, "theta must lie in (0, 1)"),
             (lambda spec: {**spec, "sign_mix_a": 0.9}, "sign_mix_a must lie in [0, 1/2]"),
             (lambda spec: {**spec, "ratio_reference": ["nope", "x"]}, "unknown problem 'nope'"),
+            (lambda spec: {**spec, "p": 100, "theta": 0.05, "strengths": [0.1]}, "calibration gives n=1 < 2"),
         ],
         ids=[
             "missing_fields",
@@ -228,6 +259,7 @@ class TestSweepCommand:
             "theta_out_of_range",
             "sign_mix_out_of_range",
             "unknown_ratio_reference",
+            "n_one",
         ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):
@@ -318,6 +350,33 @@ class TestIfpcaCommand:
         payload = json.loads(out)
         assert payload["rows"][0]["errors"] == 0
         assert payload["baseline_kmeans_errors"] == 0
+
+    @pytest.mark.parametrize("flag, kwargs", [("--fdr", {"fdr": 0.05}), ("--top-k", {"top_k": 4})], ids=["fdr", "top_k"])
+    def test_fdr_and_top_k_modes(self, tmp_path, capsys, flag, kwargs):
+        dpath, lpath = self.data_files(tmp_path)
+        [(mode, value)] = kwargs.items()
+        code, out, _ = run_cli(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), flag, str(value)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        report = ifpca_pipeline(load_labeled_csv(dpath, labels_path=lpath), **kwargs)
+        assert payload["mode"] == report.mode == mode
+        assert payload["rows"] == [asdict(row) for row in report.rows]
+        if mode == "top_k":
+            assert payload["rows"][0]["n_selected"] == 4
+
+    def test_top_k_zero_exit_2(self, tmp_path, capsys):
+        dpath, lpath = self.data_files(tmp_path)
+        code, out, err = run_cli(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--top-k", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("pipeline error:") and "top_k must lie in [1, 15]" in err
+
+    def test_literal_scaling_is_unknown(self, tmp_path, capsys):
+        # the screen has one statistic; the flag that divided it by 2n instead of sqrt(2n) is gone
+        dpath, lpath = self.data_files(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--q", "0.3", "--literal-scaling"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --literal-scaling" in capsys.readouterr().err
 
     def test_sweep_mode(self, tmp_path, capsys):
         dpath, lpath = self.data_files(tmp_path)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,50 @@ def test_aggregation_rejects_non_finite(route, bad):
     X[4, 7] = bad
     with pytest.raises(ValueError, match="X must be finite"):
         route(X)
+
+
+N_COLUMN_SEARCHES = pytest.mark.parametrize(
+    "route",
+    [
+        lambda X: sparse_aggregation_exact(X, N=3),
+        lambda X: sparse_aggregation_greedy(X, N=3, restarts=2),
+        lambda X: signed_sparse_aggregation(X, N=3),
+        lambda X: signed_sparse_aggregation(X, N=3, greedy=True, restarts=2),
+    ],
+    ids=["exact", "greedy", "signed_exact", "signed_greedy"],
+)
+
+
+@N_COLUMN_SEARCHES
+@pytest.mark.parametrize("where", ["one_row", "every_row", "headroom"])
+def test_aggregation_rejects_overflowing_sums(route, where):
+    # finite X whose 3-column sums may overflow: two entries of 1e308 in one row, or one
+    # in every row (the bound's own sum over rows overflows then); or three of 5e307 in
+    # one row, whose sum 1.5e308 fits but whose greedy scorer terms (2|b| = 2e308) do
+    # not. No sum is formed, so no RuntimeWarning is raised on the way to the error.
+    X = np.random.default_rng(73).standard_normal((6, 10))
+    if where == "one_row":
+        X[2, [3, 5]] = 1e308
+    elif where == "every_row":
+        X[:, 4] = -1e308
+    else:
+        X[2, [3, 5, 7]] = 5e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sums of 3 columns of X may overflow"):
+            route(X)
+
+
+@N_COLUMN_SEARCHES
+def test_aggregation_takes_large_finite_sums(route):
+    # entries of 1e300 leave ample headroom: the search runs, and agrees with the
+    # same data scaled down to unit size
+    X = np.random.default_rng(74).standard_normal((6, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, unit = route(1e300 * X), route(X)
+    np.testing.assert_array_equal(big.selected, unit.selected)
+    assert big.objective == pytest.approx(1e300 * unit.objective, rel=1e-12)
 
 
 class TestSignedSparseAggregation:

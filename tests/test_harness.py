@@ -7,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from rareweak.harness import (
     sweep_csv_rows,
     trial_seed,
 )
-from rareweak.model import ArwParams
+from rareweak.model import ArwParams, NoiseSpec, diagonal_coloring
 
 
 def small_spec(seed=0, **params_kw):
@@ -76,6 +77,36 @@ class TestRunTrial:
         assert "error" in rec.clustering["sparse_agg_exact"]
         assert "hamming" in rec.clustering["simple_agg"]
         assert rec.has_errors
+
+    def test_overflowing_sums_are_method_errors(self):
+        # finite data whose 3-column sums may overflow: every aggregation solver refuses it
+        # before summing, and the trial records that per method
+        params = ArwParams(p=10, theta=0.8, beta=0.5, alpha=0.1)  # n = 6
+        methods = {
+            "sparse_agg_exact": {"N": 3},
+            "sparse_agg_greedy": {"N": 3},
+            "signed_sparse_agg": {"N": 3},
+            "sparse_agg_l1": {"N": 3, "greedy": True},
+        }
+        spec = TrialSpec(params=params, methods=methods, seed=2, noise=NoiseSpec.colored(B=1e307 * np.eye(10)))
+        rec = run_trial(spec)
+        entries = [rec.clustering[name] for name in methods if name != "sparse_agg_l1"] + [rec.tests["sparse_agg_l1"]]
+        assert entries == [{"error": "sums of 3 columns of X may overflow: entries too large"}] * 4
+        assert rec.has_errors
+
+    def test_colored_spec_round_trip(self):
+        rng = np.random.default_rng(3)
+        noise = NoiseSpec.colored(A=rng.standard_normal((17, 17)), B=diagonal_coloring(300, 4.0))
+        params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
+        spec = TrialSpec(params=params, methods={"simple_agg": {}}, seed=4, noise=noise)
+        d = json.loads(json.dumps(spec.to_dict()))
+        assert d["noise"]["kind"] == "colored" and len(d["noise"]["A"]) == 17 and len(d["noise"]["B"]) == 300
+        back = TrialSpec.from_dict(d)
+        np.testing.assert_array_equal(back.noise.A, noise.A)
+        np.testing.assert_array_equal(back.noise.B, noise.B)
+        assert back.to_dict() == spec.to_dict()
+        assert back.spec_hash() == spec.spec_hash() != replace(spec, noise=NoiseSpec.white()).spec_hash()
+        assert replace(spec, noise=NoiseSpec.colored(B=noise.B)).spec_hash() != spec.spec_hash()
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
     def test_bad_seed_rejected_when_built(self, seed):

@@ -8,7 +8,6 @@ from rareweak.model import (
     ArwParams,
     Dataset,
     NoiseSpec,
-    calibrate,
     diagonal_coloring,
     gen_dataset,
     gen_labels,
@@ -18,36 +17,28 @@ from rareweak.model import (
 
 class TestCalibrate:
     def test_n_from_theta(self):
-        n, _, _ = calibrate(ArwParams(p=10_000, theta=0.5, beta=0.5, alpha=0.3))
-        assert n == 100
+        assert ArwParams(p=10_000, theta=0.5, beta=0.5, alpha=0.3).n == 100
 
     def test_epsilon_and_expected_signals(self):
         params = ArwParams(p=10_000, theta=0.5, beta=0.5, alpha=0.3)
-        _, eps, _ = calibrate(params)
-        assert eps == pytest.approx(0.01, rel=1e-12)
+        assert params.epsilon == pytest.approx(0.01, rel=1e-12)
         assert params.expected_signals == pytest.approx(100.0, rel=1e-12)
 
     def test_tau_star_formula(self):
         params = ArwParams(p=10_000, theta=0.6, beta=0.5, r=0.5)
-        _, _, tau = calibrate(params)
         want = 10_000 ** (-0.15) * (4 * 0.5 * math.log(10_000)) ** 0.25
-        assert tau == pytest.approx(want, abs=1e-12)
+        assert params.tau == pytest.approx(want, abs=1e-12)
 
     def test_null_model_tau_zero(self):
         params = ArwParams(p=1000, theta=0.5, beta=0.3, alpha=math.inf)
-        assert calibrate(params)[2] == 0.0
+        assert params.tau == 0.0
 
     def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            calibrate(ArwParams(p=100, theta=0.01, beta=0.5, alpha=0.3))
-
-    def test_rejects_no_expected_signals(self):
-        # beta in (0,1) keeps epsilon * p >= 1, so the guard needs a doctored object
-        from types import SimpleNamespace
-
-        fake = SimpleNamespace(n=10, epsilon=1e-15, tau=0.5, expected_signals=1e-13)
-        with pytest.raises(ValueError):
-            calibrate(fake)
+        # rejected when built, so no trial or sweep cell is ever drawn with it
+        for p, theta in [(100, 0.01), (100, 0.05), (2, 0.5)]:
+            with pytest.raises(ValueError, match="calibration gives n=1 < 2$"):
+                ArwParams(p=p, theta=theta, beta=0.5, alpha=0.3)
+        assert ArwParams(p=3, theta=0.5, beta=0.5, alpha=0.3).n == 2
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -195,7 +186,7 @@ class TestGenDataset:
     @staticmethod
     def outer_product_reference(params, noise, seed):
         """outer(labels, mu) + Z built from the same three child streams as gen_dataset."""
-        n, epsilon, tau = calibrate(params)
+        n, epsilon, tau = params.n, params.epsilon, params.tau
         ss_labels, ss_mu, ss_noise = np.random.SeedSequence(seed).spawn(3)
         labels = gen_labels(n, np.random.default_rng(ss_labels))
         mu, _ = gen_mu(params.p, epsilon, tau, params.sign_mix_a, np.random.default_rng(ss_mu))

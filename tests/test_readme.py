@@ -1,5 +1,8 @@
 import re
+import shlex
 from pathlib import Path
+
+from rareweak import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,25 @@ def test_library_quick_tour_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert 0.0 <= float(printed[0]) <= 0.5
     assert printed[1].startswith("PhaseAnswer(")
+
+
+def readme_command_lines() -> list[str]:
+    """Every `rareweak ...` line of README's sh blocks, with backslash continuations joined."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("rareweak "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_commands_parse(monkeypatch):
+    # every flag and subcommand that README shows is one the parser takes; the handlers do not run
+    ran = []
+    for name in ("cmd_simulate", "cmd_sweep", "cmd_boundary", "cmd_ifpca"):
+        monkeypatch.setattr(cli, name, lambda ns, name=name: ran.append(name) or 0)
+    lines = readme_command_lines()
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+    assert len(ran) == len(lines) >= 6
+    assert set(ran) == {"cmd_simulate", "cmd_sweep", "cmd_boundary", "cmd_ifpca"}

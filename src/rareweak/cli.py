@@ -70,7 +70,7 @@ def _add_sweep(sub):
         "--workers",
         type=int,
         default=1,
-        help="cells run at once on this many threads (default 1); each trial runs BLAS on one thread",
+        help="trials run at once on this many threads (default 1); each trial runs BLAS on one thread",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -184,6 +184,9 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_boundary(ns) -> int:
+    if ns.grid < 1:
+        print(f"invalid query: --grid must be at least 1, got {ns.grid}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     rows = []
     for i in range(1, ns.grid + 1):
         beta = i / (ns.grid + 1)

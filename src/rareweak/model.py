@@ -78,11 +78,19 @@ def _sample_size(p: int, theta: float) -> int:
     return int(math.floor(p**theta + 0.5))
 
 
-def _check_sample_size(p: int, theta: float) -> None:
-    """Reject a calibration with fewer than two samples."""
-    n = _sample_size(p, theta)
+def _check_calibration(obj) -> None:
+    """The checks that ArwParams and SweepSpec share, on their fields p,
+    theta and sign_mix_a: p is a count of at least 2 (stored as an int),
+    theta lies in (0, 1), n = round(p^theta) is at least 2, and
+    sign_mix_a lies in [0, 1/2]."""
+    _check_count(obj, "p", 2)
+    if not 0.0 < obj.theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    n = _sample_size(obj.p, obj.theta)
     if n < 2:
         raise ValueError(f"calibration gives n={n} < 2")
+    if not 0.0 <= obj.sign_mix_a <= 0.5:
+        raise ValueError("sign_mix_a must lie in [0, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,7 @@ class ArwParams:
     sign_mix_a: float = 0.0
 
     def __post_init__(self):
-        _check_count(self, "p", 2)
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        _check_sample_size(self.p, self.theta)
+        _check_calibration(self)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if (self.alpha is None) == (self.r is None):
@@ -116,8 +121,6 @@ class ArwParams:
             raise ValueError("alpha must be positive (inf allowed for the null model)")
         if self.r is not None and not 0.0 < self.r < 1.0:
             raise ValueError("r must lie in (0, 1)")
-        if not 0.0 <= self.sign_mix_a <= 0.5:
-            raise ValueError("sign_mix_a must lie in [0, 1/2]")
 
     @property
     def n(self) -> int:
@@ -177,6 +180,12 @@ class NoiseSpec:
         for name, m in (("A", self.A), ("B", self.B)):
             if m is not None and not np.isfinite(m).all():
                 raise ValueError(f"coloring matrix {name} must be finite")
+
+    def check_shapes(self, n: int, p: int) -> None:
+        """Reject an A that is not n x n or a B that is not p x p, 1-d or 3-d included."""
+        for name, m, size in (("A", self.A, n), ("B", self.B, p)):
+            if m is not None and m.shape != (size, size):
+                raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
 
     @classmethod
     def white(cls) -> "NoiseSpec":
@@ -265,19 +274,15 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
     """
     noise = noise or NoiseSpec.white()
     n, epsilon, tau = params.n, params.epsilon, params.tau
+    noise.check_shapes(n, params.p)
     ss_labels, ss_mu, ss_noise = np.random.SeedSequence(seed).spawn(3)
     labels = gen_labels(n, np.random.default_rng(ss_labels))
     mu, support = gen_mu(params.p, epsilon, tau, params.sign_mix_a, np.random.default_rng(ss_mu))
     Z = np.random.default_rng(ss_noise).standard_normal((n, params.p))
-    if noise.kind == "colored":
-        if noise.A is not None:
-            if noise.A.shape != (n, n):
-                raise ValueError(f"A must be {n}x{n}, got {noise.A.shape}")
-            Z = noise.A @ Z
-        if noise.B is not None:
-            if noise.B.shape != (params.p, params.p):
-                raise ValueError(f"B must be {params.p}x{params.p}, got {noise.B.shape}")
-            Z = Z @ noise.B
+    if noise.A is not None:
+        Z = noise.A @ Z
+    if noise.B is not None:
+        Z = Z @ noise.B
     X = Z
     neg = -mu
     for i, label in enumerate(labels):

@@ -39,6 +39,13 @@ class TestBoundaryCommand:
         assert code == 2 and out == ""
         assert err.startswith("invalid query:") and "theta must lie in (0, 1)" in err
 
+    @pytest.mark.parametrize("args", [["--grid", "0"], ["--grid", "-3"], ["--theta", "5", "--grid", "0"]])
+    def test_grid_below_one_exit_2(self, capsys, args):
+        # an empty grid used to exit 0 with a bare line break and no header, never checking theta
+        code, out, err = run_cli(["boundary", "--theta", "0.5", *args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid query:") and "--grid must be at least 1" in err
+
 
 class TestSimulateCommand:
     def test_json_output(self, capsys):
@@ -72,6 +79,14 @@ class TestSimulateCommand:
             ({"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1}, "alpha must be positive"),
             ({"params": PARAMS, "methods": ONE, "seed": -1}, "seed must be an integer of at least 0"),
             ({"params": {**PARAMS, "p": 100, "theta": 0.05}, "methods": ONE, "seed": 1}, "calibration gives n=1 < 2"),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1, "noise": {"kind": "colored", "A": np.eye(2).tolist()}},
+                "A must be 17x17, got (2, 2)",
+            ),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1, "noise": {"kind": "colored", "B": [1.0] * 300}},
+                "B must be 300x300, got (300,)",
+            ),
         ],
         ids=[
             "flags",
@@ -85,6 +100,8 @@ class TestSimulateCommand:
             "nan_alpha",
             "negative_seed",
             "n_one",
+            "A_wrong_shape",
+            "B_one_dimensional",
         ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):

@@ -349,22 +349,32 @@ def tiny_sweep(**kw):
     return SweepSpec(**base)
 
 
+# a one-cell sweep with several reps, the default grid, and an invalid cell (beta = 1.5) between valid ones
+SWEEP_CASES = {
+    "one_cell": dict(betas=(0.3,), strengths=(0.2,), strength_kind="alpha", reps=4),
+    "grid": {},
+    "invalid_cell": dict(betas=(0.2, 1.5, 0.4), strengths=(1.5,), reps=2),
+}
+
+
 class TestRunSweep:
-    def test_single_cell_matches_trial_aggregation(self):
-        sweep = tiny_sweep(betas=(0.3,), strengths=(0.2,), strength_kind="alpha", reps=4)
-        result = run_sweep(sweep)
-        cell = result["cells"][0]
-        manual = []
-        for rep in range(4):
-            spec = TrialSpec(
-                params=sweep.cell_params(0.3, 0.2),
-                methods=sweep.methods,
-                seed=trial_seed(42, 0, rep),
-            )
-            manual.append(run_trial(spec).clustering["simple_agg"]["hamming"])
-        assert cell["results"]["clustering"]["simple_agg"]["hamming"]["mean"] == pytest.approx(
-            float(np.mean(manual))
-        )
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_single_cell_matches_trial_aggregation(self, case):
+        # each cell is the aggregate of its own trials in rep order; an invalid cell records its error once
+        sweep = tiny_sweep(**SWEEP_CASES[case])
+        cells = run_sweep(sweep)["cells"]
+        grid = [(beta, strength) for beta in sweep.betas for strength in sweep.strengths]
+        assert [(c["cell"], c["beta"], c["strength"]) for c in cells] == [(i, *bs) for i, bs in enumerate(grid)]
+        for cell in cells:
+            if cell["beta"] > 1:
+                assert cell == {"cell": cell["cell"], "beta": 1.5, "strength": 1.5, "error": "beta must lie in (0, 1)"}
+                continue
+            params = sweep.cell_params(cell["beta"], cell["strength"])
+            records = [
+                run_trial(TrialSpec(params=params, methods=sweep.methods, seed=trial_seed(42, cell["cell"], rep)))
+                for rep in range(sweep.reps)
+            ]
+            assert cell["results"] == harness._aggregate_cell(records)
 
     def test_region_annotations_present(self):
         result = run_sweep(tiny_sweep())
@@ -377,10 +387,25 @@ class TestRunSweep:
         b = canonical_json(run_sweep(tiny_sweep()), drop_meta=True)
         assert a == b
 
-    def test_parallel_equals_serial(self):
-        serial = canonical_json(run_sweep(tiny_sweep()), drop_meta=True)
-        parallel = canonical_json(run_sweep(tiny_sweep(), workers=4), drop_meta=True)
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_equals_serial(self, case, workers):
+        serial = canonical_json(run_sweep(tiny_sweep(**SWEEP_CASES[case])), drop_meta=True)
+        parallel = canonical_json(run_sweep(tiny_sweep(**SWEEP_CASES[case]), workers=workers), drop_meta=True)
         assert serial == parallel
+
+    def test_one_cell_runs_its_reps_at_once(self, monkeypatch):
+        # the job is one trial, not one cell, so two workers run one cell's two reps together
+        barrier = threading.Barrier(2, timeout=10)
+        real = harness.run_trial
+
+        def meet(spec):
+            barrier.wait()
+            return real(spec)
+
+        monkeypatch.setattr(harness, "run_trial", meet)
+        (cell,) = run_sweep(tiny_sweep(**{**SWEEP_CASES["one_cell"], "reps": 2}), workers=2)["cells"]
+        assert cell["results"]["clustering"]["simple_agg"]["hamming"]["n"] == 2
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_bad_workers_rejected(self, workers):

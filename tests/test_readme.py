@@ -2,7 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
-from rareweak import cli
+from rareweak import cli, harness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +38,14 @@ def test_readme_commands_parse(monkeypatch):
         assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
     assert len(ran) == len(lines) >= 6
     assert set(ran) == {"cmd_simulate", "cmd_sweep", "cmd_boundary", "cmd_ifpca"}
+
+
+def test_methods_table_matches_method_table():
+    # README's "Methods and options" table lists exactly harness.METHODS, each with its group and option set
+    text = README.read_text()
+    section = text[text.index("## Methods and options") :]
+    section = section[: section.index("\n## ")]
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \|(.*)\|$", section, re.MULTILINE)
+    table = {name: (group, set(re.findall(r"`(\w+)`", options))) for name, group, options in rows}
+    assert len(rows) == len(table)
+    assert table == {name: (method.group, set(method.options)) for name, method in harness.METHODS.items()}

@@ -617,9 +617,12 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     Returns {"spec", "cells", "meta"}; everything outside "meta" is a
     pure function of the spec. Failed cells are recorded and do not
     stop the sweep. ``workers`` threads run trials at once; it must be a
-    positive integer. ``meta["blas_pinned"]`` says whether each trial ran
-    OpenBLAS on one thread, which makes the body independent of the
-    host's BLAS thread count.
+    positive integer. Every sweep, ``workers=1`` included, runs its
+    trials on a pool thread, so an interrupt cancels the trials not yet
+    started and takes effect once the running ones finish.
+    ``meta["blas_pinned"]`` says whether each trial ran OpenBLAS on one
+    thread, which makes the body independent of the host's BLAS thread
+    count.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")

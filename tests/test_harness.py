@@ -375,6 +375,18 @@ class TestRunSweep:
                 for rep in range(sweep.reps)
             ]
             assert cell["results"] == harness._aggregate_cell(records)
+            # and, independently of _aggregate_cell, the statistics agree with the trials
+            hamming = np.array([r.clustering["simple_agg"]["hamming"] for r in records])
+            se = hamming.std(ddof=1) / math.sqrt(sweep.reps)
+            summary = cell["results"]["clustering"]["simple_agg"]
+            assert summary["hamming"]["mean"] == pytest.approx(np.mean(hamming))
+            assert summary["hamming"]["median"] == pytest.approx(np.median(hamming))
+            assert summary["hamming"]["ci_low"] == pytest.approx(np.mean(hamming) - 1.959964 * se)
+            assert summary["hamming"]["ci_high"] == pytest.approx(np.mean(hamming) + 1.959964 * se)
+            assert summary["hamming"]["n"] == sweep.reps
+            assert summary["fallback_rate"] == pytest.approx(np.mean([r.clustering["simple_agg"]["fallback"] for r in records]))
+            rejects = [r.tests["agg_chi2"]["reject"] for r in records]
+            assert cell["results"]["tests"]["agg_chi2"]["rejection_rate"] == pytest.approx(np.mean(rejects))
 
     def test_region_annotations_present(self):
         result = run_sweep(tiny_sweep())

@@ -110,6 +110,11 @@ def _check_methods(methods: dict) -> None:
                 raise ValueError(f"option {key!r} of method {name!r} must be {what} or null, got {value!r}")
 
 
+def _matrix_digest(m: np.ndarray) -> dict:
+    """A dense matrix named by its shape and the SHA-256 of its C-order float64 bytes."""
+    return {"shape": list(m.shape), "sha256": hashlib.sha256(np.asarray(m, dtype=float).tobytes()).hexdigest()}
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     params: ArwParams
@@ -123,11 +128,15 @@ class TrialSpec:
         self.noise.check_shapes(self.params.n, self.params.p)
 
     def to_dict(self) -> dict:
+        return self._as_dict(np.ndarray.tolist)
+
+    def _as_dict(self, matrix: Callable[[np.ndarray], object]) -> dict:
+        """to_dict with each coloring matrix written as ``matrix(m)``."""
         noise = {"kind": self.noise.kind}
         if self.noise.A is not None:
-            noise["A"] = self.noise.A.tolist()
+            noise["A"] = matrix(self.noise.A)
         if self.noise.B is not None:
-            noise["B"] = self.noise.B.tolist()
+            noise["B"] = matrix(self.noise.B)
         return {
             "params": self.params.to_dict(),
             "methods": self.methods,
@@ -153,7 +162,8 @@ class TrialSpec:
         )
 
     def spec_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the spec's JSON form, a coloring matrix entering by its _matrix_digest, not its entries."""
+        blob = json.dumps(self._as_dict(_matrix_digest), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

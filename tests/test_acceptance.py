@@ -44,6 +44,7 @@ def verdict(name: str, ok: bool, detail: str) -> None:
 #    statistical boundary; the designated tractable method for the chosen
 #    beta range is simple aggregation
 # --------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_1_clustering_phase_grid():
     t0 = time.time()
     ratios = (0.5, 0.75, 1.0, 1.5, 2.0)
@@ -122,6 +123,7 @@ def test_criterion_2b_ifpca_cosine_below_curve():
 # --------------------------------------------------------------------------
 # 3. null calibration and power of the global tests at p=10^4, n=100
 # --------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_3_test_calibration_and_power():
     t0 = time.time()
     null_params = ArwParams(p=10_000, theta=0.5, beta=0.4, alpha=math.inf)
@@ -161,6 +163,7 @@ def test_criterion_3_test_calibration_and_power():
 # --------------------------------------------------------------------------
 # 4. analytic spot checks
 # --------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_4_analytic_spot_checks():
     problems = []
     if abs(folded_mean(0.0) - math.sqrt(2 / math.pi)) > 1e-12:

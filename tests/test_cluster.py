@@ -11,6 +11,7 @@ from rareweak import harness
 from rareweak.cluster import (
     EnumerationBudgetError,
     _candidate_values,
+    _exact_search,
     _greedy_search,
     classical_pca,
     default_sparsity,
@@ -22,8 +23,10 @@ from rareweak.cluster import (
     sparse_aggregation_exact,
     sparse_aggregation_greedy,
 )
+from rareweak.hyptest import sparse_agg_test
 from rareweak.metrics import cos_angle, hamming_clustering
 from rareweak.model import ArwParams, gen_dataset
+from rareweak.recover import recover_sa_N
 from rareweak.spectral import q_star
 
 
@@ -147,6 +150,79 @@ def test_exact_matches_enumeration_oracle(signs):
         assert res.selected.tolist() == list(support)
         assert pattern.tolist() == list(want_pattern)
         assert res.objective == pytest.approx(want_obj, rel=1e-12)
+
+
+def exact_reference(X, N, signs):
+    """The exact search as it ran before it read signed columns from [X, -X].
+
+    Each chunk gathers its supports' columns and multiplies them by the
+    sign patterns before summing, in the same chunks as _exact_search.
+    Returns the support, its pattern, the weighted column sum and its L1
+    norm, as _exact_search does.
+    """
+    n, p = X.shape
+    all_patterns = np.array([(1,) + rest for rest in itertools.product(signs, repeat=N - 1)], dtype=float)
+    n_patterns = len(all_patterns)
+    pairs = max(1, 200_000 // max(n * N, 1))
+    per_chunk = max(1, pairs // n_patterns)
+    step = max(1, pairs // per_chunk)
+    best_obj, best = -math.inf, None
+    combos = itertools.combinations(range(p), N)
+    while chunk := list(itertools.islice(combos, per_chunk)):
+        cols = X[:, np.array(chunk)]  # (n, c, N)
+        for start in range(0, n_patterns, step):
+            patterns = all_patterns[start : start + step]
+            sums = (cols[:, :, None, :] * patterns).sum(axis=3)  # (n, c, m)
+            objs = np.abs(sums).sum(axis=0).ravel()
+            k = int(np.argmax(objs))
+            if objs[k] > best_obj:
+                c, m = divmod(k, len(patterns))
+                best_obj = float(objs[k])
+                best = (chunk[c], patterns[m].copy(), sums[:, c, m].copy())
+    support, pattern, running = best
+    return np.asarray(support), pattern, running, best_obj
+
+
+def exact_reference_instances():
+    """(label, X, N): 240 small seeded instances and three that span several chunks."""
+    for i in range(240):
+        rng = np.random.default_rng([47, i])
+        n, p = int(rng.integers(1, 12)), int(rng.integers(1, 13))
+        # integer entries make exact ties between supports and patterns
+        X = rng.integers(-2, 3, (n, p)).astype(float) if i % 3 == 0 else rng.standard_normal((n, p))
+        if i % 4 == 1:
+            X = np.asfortranarray(X)
+        elif i % 4 == 2:
+            wide = rng.standard_normal((n, 2 * p))
+            wide[:, ::2] = X
+            X = wide[:, ::2]
+        N = p if i % 5 == 0 else int(rng.integers(1, p + 1))
+        yield f"small {i}", X, N
+    rng = np.random.default_rng(48)
+    # repeated columns tie across chunk boundaries; at p = N = 12 one
+    # support's 2^11 sign patterns are split over chunks
+    yield "repeated columns", rng.integers(-1, 2, (100, 4)).astype(float)[:, [0, 1, 2, 3] * 4], 4
+    yield "split patterns", rng.integers(-1, 2, (10, 12)).astype(float), 12
+    yield "many supports", rng.standard_normal((60, 20)), 3
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+def test_exact_matches_reference(signs):
+    seen = {"integer": 0, "fortran": 0, "strided": 0, "N>=9": 0, "chunks": 0}
+    for label, X, N in exact_reference_instances():
+        support, pattern, running, obj = _exact_search(X, N, signs, math.inf, "greedy")
+        want = exact_reference(X, N, signs)
+        assert support.tolist() == want[0].tolist(), label
+        assert pattern.tolist() == want[1].tolist(), label
+        assert running.tobytes() == want[2].tobytes(), label
+        assert obj == want[3], label
+        seen["integer"] += bool(np.all(X == np.round(X)))
+        seen["fortran"] += not X.flags.c_contiguous and X.flags.f_contiguous
+        seen["strided"] += not X.flags.c_contiguous and not X.flags.f_contiguous
+        seen["N>=9"] += N >= 9
+        # the whole (n, supports, patterns, N) block overflows one 200_000-entry chunk
+        seen["chunks"] += X.shape[0] * N * enum_configs(X.shape[1], N, signed=len(signs) > 1) > 200_000
+    assert min(seen.values()) > 0, seen
 
 
 def improving_swap(X, weights, signs):
@@ -302,7 +378,7 @@ def reference_instances():
         yield f"p=2000 {i}", gen_dataset(params, seed=70 + i).X, default_sparsity(params.expected_signals), 8, i
 
 
-@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("signs", [(1,), pytest.param((1, -1), marks=pytest.mark.slow)], ids=["unsigned", "signed"])
 def test_greedy_matches_reference(signs):
     seen = {"integer": 0, "N=p": 0, "n=2": 0, "fortran": 0, "strided": 0}
     for label, X, N, restarts, seed in reference_instances():
@@ -326,17 +402,24 @@ def test_candidate_values_match_direct_sums(signs):
     for i in range(40):
         n, p = int(rng.integers(1, 30)), int(rng.integers(1, 80))
         X = rng.integers(-3, 4, (n, p)).astype(float) if i % 4 == 0 else rng.standard_normal((n, p))
+        if i % 4 == 1:
+            X = np.asfortranarray(X)
+        elif i % 4 == 2:
+            wide = rng.standard_normal((n, 2 * p))
+            wide[:, ::2] = X
+            X = wide[:, ::2]
         with_zeros = rng.standard_normal(n) * 4
         with_zeros[rng.random(n) < 0.5] = 0.0
         # random bases of several scales (wide ones need few rows of
-        # X gathered, zero ones need all), bases with zero entries, and
-        # enough bases that the gathered rows exceed n and are chunked
+        # X gathered, zero ones need all), bases with exact zeros (whose
+        # sign t is +1, so -s t x is read from the -X half for s = +1),
+        # and enough bases that the gathered rows exceed n and are chunked
         B = np.column_stack(
             [rng.standard_normal(n) * scale for scale in (0.1, 1.0, 3.0, 20.0)]
             + [np.zeros(n), with_zeros, X[:, : min(p, 3)].sum(axis=1)]
             + [rng.standard_normal(n) for _ in range(int(rng.integers(0, 6)))]
         )
-        vals = _candidate_values(B, X, signs, np.abs(X).max(axis=1), np.empty((n, p)))
+        vals = _candidate_values(B, np.concatenate([X, -X]), signs, np.abs(X).max(axis=1), np.empty((n, p)))
         assert vals.shape == (B.shape[1], len(signs), p)
         for k in range(B.shape[1]):
             for si, s in enumerate(signs):
@@ -584,6 +667,23 @@ def test_aggregation_takes_large_finite_sums(route):
         big, unit = route(1e300 * X), route(X)
     np.testing.assert_array_equal(big.selected, unit.selected)
     assert big.objective == pytest.approx(1e300 * unit.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda X, restarts: sparse_aggregation_greedy(X, N=3, restarts=restarts),
+        lambda X, restarts: signed_sparse_aggregation(X, N=3, greedy=True, restarts=restarts),
+        lambda X, restarts: sparse_agg_test(X, N=3, greedy=True, restarts=restarts),
+        lambda X, restarts: recover_sa_N(X, N=3, greedy=True, restarts=restarts),
+    ],
+    ids=["greedy", "signed_greedy", "test", "recovery"],
+)
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_greedy_rejects_restarts_below_one(route, restarts):
+    X = np.random.default_rng(75).standard_normal((6, 10))
+    with pytest.raises(ValueError, match=f"restarts must be an integer of at least 1, got {restarts}"):
+        route(X, restarts)
 
 
 class TestSignedSparseAggregation:

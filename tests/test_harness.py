@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -107,6 +108,43 @@ class TestRunTrial:
         assert back.to_dict() == spec.to_dict()
         assert back.spec_hash() == spec.spec_hash() != replace(spec, noise=NoiseSpec.white()).spec_hash()
         assert replace(spec, noise=NoiseSpec.colored(B=noise.B)).spec_hash() != spec.spec_hash()
+
+    def test_colored_hash_reads_matrix_bytes(self):
+        # a coloring matrix enters the hash by its shape and bytes: equal matrices built
+        # separately (or stored in another order) hash the same, a one-entry change does not
+        params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
+
+        def spec_hash(B):
+            return TrialSpec(params=params, methods={"simple_agg": {}}, noise=NoiseSpec.colored(B=B)).spec_hash()
+
+        B = diagonal_coloring(300, 4.0)
+        changed = B.copy()
+        changed[7, 3] = 1e-12
+        assert spec_hash(B) == spec_hash(diagonal_coloring(300, 4.0)) == spec_hash(np.asfortranarray(B))
+        assert spec_hash(changed) != spec_hash(B)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_white_hash_is_the_spec_json_hash(self, seed):
+        spec = small_spec(seed=seed)
+        blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert spec.spec_hash() == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def test_restarts_below_one_is_a_method_error(self):
+        params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
+        methods = {
+            "sparse_agg_greedy": {"restarts": 0},
+            "signed_sparse_agg": {"greedy": True, "restarts": -3},
+            "recover_sa_n": {"greedy": True, "restarts": 0},
+            "sparse_agg_l1": {"greedy": True, "restarts": 0},
+            "simple_agg": {},
+        }
+        rec = run_trial(TrialSpec(params=params, methods=methods, seed=1))
+        error = "restarts must be an integer of at least 1, got {}"
+        assert rec.clustering["sparse_agg_greedy"] == {"error": error.format(0)}
+        assert rec.clustering["signed_sparse_agg"] == {"error": error.format(-3)}
+        assert rec.recovery["recover_sa_n"] == {"error": error.format(0)}
+        assert rec.tests["sparse_agg_l1"] == {"error": error.format(0)}
+        assert "hamming" in rec.clustering["simple_agg"]
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
     def test_bad_seed_rejected_when_built(self, seed):

@@ -355,6 +355,7 @@ class TestGramKmeansOracle:
     """The Gram-form Lloyd iteration gives the same final assignment as the
     n-by-p loop, restart by restart and through the lowest-SSE choice."""
 
+    @pytest.mark.slow
     def test_matches_direct_lloyd(self):
         seen = {"n>p": 0, "n=2": 0, "p=1": 0, "duplicates": 0, "emptied": 0, "restarts=1": 0, "restarts=30": 0}
         for i in range(240):

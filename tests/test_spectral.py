@@ -50,6 +50,7 @@ class TestChi2Scores:
                 # since a score near 0 is a difference of two numbers of that size
                 np.testing.assert_allclose(chi2_scores(Y), ref, rtol=1e-12, atol=1e-12 * math.sqrt(n))
 
+    @pytest.mark.slow
     def test_null_moments(self):
         rng = np.random.default_rng(40)
         X = rng.standard_normal((10_000, 10_000))

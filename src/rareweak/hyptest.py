@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import DEFAULT_ENUM_BUDGET, sparse_aggregation_exact, sparse_aggregation_greedy
+from .cluster import sparse_aggregation_exact
 from .numerics import chisq_sf_vec
 from .spectral import chi2_scores
 
@@ -70,26 +70,15 @@ def simple_agg_test(X: np.ndarray) -> TestOutcome:
     return _outcome(stat, 2.0 * math.sqrt(2 * math.log(p)))
 
 
-def sparse_agg_test(
-    X: np.ndarray,
-    N: int,
-    greedy: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    restarts: int = 8,
-    seed: int = 0,
-) -> TestOutcome:
-    """Best N-column aggregation value against its null concentration level.
+def sparse_agg_test(X: np.ndarray, N: int) -> TestOutcome:
+    """Exact best N-column aggregation value against its null concentration level.
 
     The statistic is N^(-1/2) max_S ||sum_{j in S} x_j||_1; under noise
     each candidate behaves like a sum of folded normals with mean
     sqrt(2/pi) n, and the threshold adds the union-bound deviation
     sqrt(2 n (N + 2) log p).
     """
-    if greedy:
-        res = sparse_aggregation_greedy(X, N, restarts=restarts, seed=seed)
-    else:
-        res = sparse_aggregation_exact(X, N, budget=budget)
-    return sparse_agg_outcome(res.objective, *X.shape, N)
+    return sparse_agg_outcome(sparse_aggregation_exact(X, N).objective, *X.shape, N)
 
 
 def sparse_agg_outcome(objective: float, n: int, p: int, N: int) -> TestOutcome:
@@ -120,8 +109,10 @@ def _score_pvalues(Q: np.ndarray, n: int) -> np.ndarray:
 def hc_statistic(pvalues: np.ndarray) -> float:
     """Higher-criticism maximum over the lower half of sorted P-values.
 
-    Terms whose sorted P-value is exactly 0 or 1 have a zero denominator
-    and are skipped. Returns -inf if every term in range is skipped.
+    A P-value of exactly 0 is a tail that underflowed: it counts as the
+    smallest positive double, so its term is the strongest. Terms whose
+    sorted P-value is exactly 1 (or outside [0, 1]) are skipped. Returns
+    -inf if every term in range is skipped.
     """
     pv = np.sort(np.asarray(pvalues, dtype=float))
     return _hc_max(pv[: pv.size // 2], pv.size)
@@ -130,6 +121,7 @@ def hc_statistic(pvalues: np.ndarray) -> float:
 def _hc_max(ps: np.ndarray, p: int) -> float:
     """hc_statistic given ps, the p // 2 smallest of p P-values, sorted."""
     i = np.arange(1, ps.size + 1)
+    ps = np.where(ps == 0.0, np.nextafter(0.0, 1.0), ps)
     ok = (ps > 0.0) & (ps < 1.0)
     if not ok.any():
         return -math.inf

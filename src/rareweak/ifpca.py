@@ -27,7 +27,6 @@ import numpy as np
 
 from .cluster import kmeans_1d_two
 from .harness import _one_blas_thread
-from .model import _is_integer
 from .numerics import bh_threshold, chisq_sf_vec
 from .spectral import leading_left_singular, select_features
 
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 MAD_TO_SD = 0.6745  # Phi^{-1}(3/4): makes MAD match the standard deviation
+# the k-means baseline is one reference count beside the pipeline's, so every caller gets the same setting
+KMEANS_RESTARTS, KMEANS_SEED, KMEANS_MAX_ITER = 30, 0, 200
 
 
 def _require_finite_cells(X: np.ndarray, source, names: list[str] | None = None) -> None:
@@ -208,12 +209,13 @@ def ifpca_pipeline(
 
 
 @_one_blas_thread()
-def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_iter: int = 200) -> int:
+def baseline_kmeans(data: LabeledMatrix) -> int:
     """Plain two-cluster Lloyd iteration on the normalized rows (``data.normalized``).
 
-    Random-row initialization, ``restarts`` independent starts (at least
-    1), at most ``max_iter`` (at least 1) assignment steps each, stopping
-    when an assignment repeats; best within-cluster sum of squares wins.
+    Random-row initialization, KMEANS_RESTARTS independent starts drawn
+    from seed KMEANS_SEED, at most KMEANS_MAX_ITER assignment steps each,
+    stopping when an assignment repeats; best within-cluster sum of
+    squares wins.
     Returns the flip-minimized error count against the class labels.
 
     The iteration runs on the n-by-n Gram matrix G = X* X*^T of the
@@ -228,10 +230,7 @@ def baseline_kmeans(data: LabeledMatrix, restarts: int = 30, seed: int = 0, max_
     exact arithmetic but not after rounding: each form breaks such a tie
     by its own rounding.
     """
-    for name, value in (("restarts", restarts), ("max_iter", max_iter)):
-        if not _is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    assign = _two_means(data.normalized.X, int(restarts), seed, int(max_iter))
+    assign = _two_means(data.normalized.X, KMEANS_RESTARTS, KMEANS_SEED, KMEANS_MAX_ITER)
     return _errors_against_labels(np.where(assign == 0, -1, 1), data.class_labels)
 
 
@@ -279,8 +278,9 @@ def load_labeled_csv(
     """Load rows-as-samples CSV with a header of feature names.
 
     Labels come either from a designated column of the same file or
-    from a separate single-column file (one label per sample line). A
-    NaN or inf feature value raises ValueError naming its row and column.
+    from a separate single-column file (one label per sample line), not
+    both: giving both raises ValueError. A NaN or inf feature value
+    raises ValueError naming its row and column.
 
     The header is read by ``csv``; the cells by numpy's C parser: comma
     delimited, ``"`` quoting, blank lines skipped, no comment character
@@ -293,6 +293,8 @@ def load_labeled_csv(
     data_path = Path(data_path)
     with open(data_path, newline="") as fh:
         header = next(csv.reader(fh))
+    if label_column is not None and labels_path is not None:
+        raise ValueError("provide labels_path or label_column, not both")
     if label_column is not None:
         if label_column not in header:
             raise ValueError(f"label column {label_column!r} not in header")

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import (
-    DEFAULT_ENUM_BUDGET,
-    classical_pca,
-    simple_aggregation,
-    sparse_aggregation_exact,
-    sparse_aggregation_greedy,
-)
+from .cluster import classical_pca, simple_aggregation, sparse_aggregation_exact
 from .spectral import chi2_scores, select_features
 
 __all__ = [
@@ -70,24 +64,9 @@ def recover_if_star(X: np.ndarray) -> RecoveryResult:
     return threshold_weighted_means(X, classical_pca(X).labels)
 
 
-def recover_sa_N(
-    X: np.ndarray,
-    N: int,
-    greedy: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    restarts: int = 8,
-    seed: int = 0,
-) -> RecoveryResult:
-    """Support straight from the N-column aggregation optimizer.
-
-    Exhaustive enumeration (budget-capped) by default, the greedy search
-    with ``greedy``, as in sparse_agg_test.
-    """
-    if greedy:
-        res = sparse_aggregation_greedy(X, N, restarts=restarts, seed=seed)
-    else:
-        res = sparse_aggregation_exact(X, N, budget=budget)
-    return RecoveryResult(support=res.selected)
+def recover_sa_N(X: np.ndarray, N: int) -> RecoveryResult:
+    """Support of the exact best N-column aggregation (sparse_aggregation_exact)."""
+    return RecoveryResult(support=sparse_aggregation_exact(X, N).selected)
 
 
 def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:

@@ -283,7 +283,7 @@ def test_criterion_7_leukemia_benchmark():
     data = load_labeled_csv(data_path, labels_path=labels_path)
     selected = ifpca_pipeline(data, top_k=2133)
     all_features = ifpca_pipeline(data, top_k=data.X.shape[1])
-    km = baseline_kmeans(data, restarts=30, seed=0)
+    km = baseline_kmeans(data)
     ok = selected.rows[0].errors == 1 and all_features.rows[0].errors == 21
     verdict(
         "criterion 7 (leukemia benchmark)",

@@ -221,6 +221,15 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "result.csv").read_text())))
         assert len(rows) == 2
 
+    def test_csv_to_stdout(self, tmp_path, capsys):
+        # without --out, --format csv prints the CSV that --out writes
+        path = self.sweep_spec(tmp_path)
+        code, out, _ = run_cli(["sweep", "--spec", str(path), "--format", "csv"], capsys)
+        assert code == 0
+        run_cli(["sweep", "--spec", str(path), "--out", str(tmp_path / "result")], capsys)
+        assert out == (tmp_path / "result.csv").read_bytes().decode()
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+
     def test_out_with_invalid_cell(self, tmp_path, capsys):
         # a beta of 1.5 fails only its own cell, whose CSV row carries the error
         path = self.sweep_spec(tmp_path)
@@ -394,6 +403,17 @@ class TestIfpcaCommand:
             main(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--q", "0.3", "--literal-scaling"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --literal-scaling" in capsys.readouterr().err
+
+    def test_labels_and_label_column_exit_2(self, tmp_path, capsys):
+        # labels come from one place; with both flags the labels file used to be ignored
+        dpath = tmp_path / "expr.csv"
+        dpath.write_text("g0,g1,group\n1,2,a\n3,4,b\n5,7,a\n7,8,b\n")
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("a\nb\na\nb\na\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--label-column", "group", "--q", "0.3"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_sweep_mode(self, tmp_path, capsys):
         dpath, lpath = self.data_files(tmp_path)

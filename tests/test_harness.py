@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -28,6 +29,7 @@ from rareweak.harness import (
     trial_seed,
 )
 from rareweak.model import ArwParams, NoiseSpec, diagonal_coloring
+from rareweak.phase import rho_star_theta
 
 
 def small_spec(seed=0, **params_kw):
@@ -315,6 +317,21 @@ def test_exported_names_resolve():
             assert hasattr(module, name), f"{info.name}.{name}"
 
 
+def test_package_reexports_are_in_module_all():
+    # a name the package root re-exports is public in its own module too, so that
+    # dropping it from a module's __all__ cannot leave the root exporting it
+    import rareweak
+
+    tree = ast.parse(Path(rareweak.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1, ast.unparse(node)
+        module = importlib.import_module(f"rareweak.{node.module}")
+        for alias in node.names:
+            assert alias.asname is None and alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
 @pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])
 def test_signed_rule_charges_evaluated_pairs(budget, greedy):
     # p = N = 5: the signed enumeration evaluates one support with 2^4 sign patterns
@@ -426,6 +443,36 @@ class TestRunSweep:
             rejects = [r.tests["agg_chi2"]["reject"] for r in records]
             assert cell["results"]["tests"]["agg_chi2"]["rejection_rate"] == pytest.approx(np.mean(rejects))
 
+    def test_signed_recovery_statistics_match_trials(self):
+        # the recovery group's statistics, signed Hamming included, and its CSV column,
+        # checked against numpy over the cell's own trial records
+        sweep = tiny_sweep(betas=(0.3,), strengths=(0.5,), reps=2, sign_mix_a=0.5, methods={"recover_signed_pca": {}})
+        result = run_sweep(sweep)
+        (cell,) = result["cells"]
+        params = sweep.cell_params(0.3, 0.5)
+        records = [
+            run_trial(TrialSpec(params=params, methods=sweep.methods, seed=trial_seed(42, 0, rep))).recovery
+            for rep in range(2)
+        ]
+        summary = cell["results"]["recovery"]["recover_signed_pca"]
+        assert set(summary) == {"hamming", "support_size", "signed_hamming"}
+        for key, stats in summary.items():
+            values = np.array([float(r["recover_signed_pca"][key]) for r in records])
+            se = values.std(ddof=1) / math.sqrt(2)
+            assert stats["mean"] == pytest.approx(np.mean(values))
+            assert stats["median"] == pytest.approx(np.median(values))
+            assert stats["ci_low"] == pytest.approx(np.mean(values) - 1.959964 * se)
+            assert stats["ci_high"] == pytest.approx(np.mean(values) + 1.959964 * se)
+            assert stats["n"] == 2
+        (row,) = sweep_csv_rows(result)
+        assert row["recovery_hamming:recover_signed_pca"] == summary["hamming"]["mean"]
+
+    def test_r_cell_at_rho_star_on_boundary(self):
+        rho = rho_star_theta(0.5, 0.6)
+        sweep = tiny_sweep(betas=(0.6,), strength_kind="r", strengths=(rho - 0.05, rho, rho + 0.05), reps=1)
+        regions = [cell["regions"] for cell in run_sweep(sweep)["cells"]]
+        assert regions == [{"ifpca_cosine": kind} for kind in ("impossible", "on_boundary", "possible")]
+
     def test_region_annotations_present(self):
         result = run_sweep(tiny_sweep())
         cell = result["cells"][0]
@@ -503,6 +550,10 @@ class TestRunSweep:
             ({"ratio_reference": ("nope", "x")}, "unknown problem 'nope'"),
             ({"ratio_reference": ("clustering", "x")}, "unknown bound kind 'x'"),
             ({"ratio_reference": ("clustering",)}, r"ratio_reference must be a \(problem, bound kind\) pair"),
+            ({"methods": {}}, "at least one method is required"),
+            ({"betas": ()}, "grids must be nonempty"),
+            ({"strengths": []}, "grids must be nonempty"),
+            ({"strength_kind": "tau"}, "bad strength_kind 'tau'"),
         ],
     )
     def test_bad_model_fields_rejected_when_built(self, edit, needle):

@@ -76,11 +76,18 @@ class TestSparseAggTest:
         assert out.reject
 
     def test_greedy_mode_runs(self):
+        # the greedy test is the method entry with the greedy option
         rng = np.random.default_rng(89)
         X = rng.standard_normal((30, 400))
-        out = ht.sparse_agg_test(X, N=10, greedy=True, restarts=2)
+        out = sparse_agg_entry(X, N=10, greedy=True, restarts=2)
         objective = sparse_aggregation_greedy(X, 10, restarts=2).objective
         assert out == ht.sparse_agg_outcome(objective, 30, 400, 10)
+
+
+def sparse_agg_entry(X, **opts):
+    """The sparse_agg_l1 method entry on X, seed 0, with the given options."""
+    params = ArwParams(p=X.shape[1], theta=0.5, beta=0.5, alpha=0.1)
+    return METHODS["sparse_agg_l1"].run(X, MethodArgs(opts, params, 0))
 
 
 @pytest.mark.parametrize(
@@ -88,7 +95,7 @@ class TestSparseAggTest:
     [
         ht.simple_agg_test,
         lambda X: ht.sparse_agg_test(X, N=2),
-        lambda X: ht.sparse_agg_test(X, N=3, greedy=True, restarts=2),
+        lambda X: sparse_agg_entry(X, N=3, greedy=True, restarts=2),
         ht.higher_criticism_test,
         lambda X: METHODS["higher_criticism"].run(X, MethodArgs({}, ArwParams(p=20, theta=0.5, beta=0.5, alpha=0.1), 0)),
         ht.column_pvalues,
@@ -132,6 +139,29 @@ class TestHigherCriticism:
         pv = np.concatenate([[0.0], np.linspace(0.2, 0.9, 19)])
         stat = ht.hc_statistic(pv)
         assert math.isfinite(stat)
+
+    def test_zero_pvalue_is_the_strongest_term(self):
+        # an exact 0 is a tail that underflowed: it counts as the smallest positive double
+        pv = np.concatenate([[0.0], np.linspace(0.2, 0.9, 19)])
+        tiny = np.nextafter(0.0, 1.0)
+        assert ht.hc_statistic(pv) == math.sqrt(20) * (1 / 20 - tiny) / math.sqrt(tiny * (1 - tiny))
+        assert ht.hc_statistic(np.ones(20)) == -math.inf
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_overwhelming_signal_rejects(self, k):
+        # a shift of 40 sends the shifted columns' chi-square tails to exactly 0; they are
+        # the strongest evidence against the null, so HC must reject, and more clearly
+        # than at a shift of 3
+        def shifted(size):
+            X = np.random.default_rng(0).standard_normal((50, 40))
+            X[:, :k] += size
+            return X
+
+        X = shifted(40.0)
+        assert (ht.column_pvalues(X)[:k] == 0.0).all()
+        out = ht.higher_criticism_test(X)
+        assert out.reject and math.isfinite(out.statistic)
+        assert out.statistic > ht.higher_criticism_test(shifted(3.0)).statistic
 
     def test_null_level(self):
         rej = 0

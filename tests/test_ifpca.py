@@ -228,20 +228,11 @@ class TestBaselineKmeans:
     def test_single_point_per_class(self):
         X = np.array([[0.0, 0.0, 1.0], [10.0, 10.0, 12.0]])
         data = LabeledMatrix(X=X, class_labels=np.array(["a", "b"]))
-        assert baseline_kmeans(data, restarts=3) == 0
+        assert baseline_kmeans(data) == 0
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         data = two_blob_data(gap=1.0, seed=11)
-        assert baseline_kmeans(data, seed=4) == baseline_kmeans(data, seed=4)
-
-    @pytest.mark.parametrize("name", ["restarts", "max_iter"])
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3", None])
-    def test_bad_counts_rejected(self, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got "):
-            baseline_kmeans(two_blob_data(), **{name: bad})
-
-    def test_integral_float_counts_accepted(self):
-        assert baseline_kmeans(two_blob_data(), restarts=3.0, max_iter=50.0) == 0
+        assert baseline_kmeans(data) == baseline_kmeans(data)
 
 
 class TestBlasPin:
@@ -360,17 +351,18 @@ class TestGramKmeansOracle:
         seen = {"n>p": 0, "n=2": 0, "p=1": 0, "duplicates": 0, "emptied": 0, "restarts=1": 0, "restarts=30": 0}
         for i in range(240):
             X, labels = oracle_instance(i)
-            restarts = 1 if i % 2 else 30
+            # the 30-restart instances use baseline_kmeans's fixed seed, so that it joins the check
+            restarts, seed = (1, i) if i % 2 else (30, 0)
             data = LabeledMatrix(X=X, class_labels=labels)
             # level data is compared unnormalized, where both forms compute the first
             # distances exactly: rows that tie exactly there tie in both; after the MAD
             # scaling the same rows tie only up to rounding, which each form breaks its own way
             rows = X if i % 4 == 3 else mad_normalize(X).X
-            want, emptied = lloyd_reference(rows, restarts, seed=i)
-            np.testing.assert_array_equal(_two_means(rows, restarts, i, 200), want, err_msg=f"instance {i}")
-            if i % 4 != 3:
+            want, emptied = lloyd_reference(rows, restarts, seed=seed)
+            np.testing.assert_array_equal(_two_means(rows, restarts, seed, 200), want, err_msg=f"instance {i}")
+            if i % 4 != 3 and restarts == 30:
                 errors = _errors_against_labels(np.where(want == 0, -1, 1), data.class_labels)
-                assert baseline_kmeans(data, restarts=restarts, seed=i) == errors, f"instance {i}"
+                assert baseline_kmeans(data) == errors, f"instance {i}"
             n, p = rows.shape
             seen["n>p"] += n > p
             seen["n=2"] += n == 2
@@ -420,11 +412,25 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_labeled_csv(dpath, labels_path=lpath)
 
-    def test_requires_some_label_source(self, tmp_path):
+    @pytest.mark.parametrize(
+        "labels, column, needle",
+        [
+            (None, None, "provide labels_path or label_column$"),
+            ("x\ny\n", "group", "provide labels_path or label_column, not both$"),
+            (None, "grp", "label column 'grp' not in header$"),
+            ("x\ny\nx\n", None, "one class label per row is required$"),
+        ],
+        ids=["no_source", "both_sources", "unknown_column", "wrong_count"],
+    )
+    def test_bad_label_source_rejected(self, tmp_path, labels, column, needle):
         dpath = tmp_path / "data.csv"
-        dpath.write_text("f1\n1.0\n")
-        with pytest.raises(ValueError):
-            load_labeled_csv(dpath)
+        dpath.write_text("f1,group\n1.0,0\n2.0,1\n")
+        lpath = None
+        if labels is not None:
+            lpath = tmp_path / "labels.txt"
+            lpath.write_text(labels)
+        with pytest.raises(ValueError, match=needle):
+            load_labeled_csv(dpath, labels_path=lpath, label_column=column)
 
     def test_values_bit_equal_to_float(self, tmp_path):
         values = [5e-324, 2.2250738585072009e-308, 1e308, -1e308, -0.0, 0.0, 0.1, -1 / 3, math.pi * 1e-200, 6.02214076e23]
@@ -513,7 +519,7 @@ class TestLoaders:
         lpath = tmp_path / "labels.txt"
         lpath.write_text("x\ny\n")
         with pytest.warns(UserWarning, match="no data"), pytest.raises(ValueError, match="no data rows$"):
-            load_labeled_csv(path, labels_path=lpath, label_column=label_column)
+            load_labeled_csv(path, labels_path=lpath if label_column is None else None, label_column=label_column)
 
     def test_one_column_stays_2d(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -34,6 +34,22 @@ class TestHammingClustering:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             hamming_clustering(np.array([1, -1]), np.array([1]))
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            hamming_recovery_signed(np.array([1.0, 0.0]), np.array([1.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "loss, needle",
+    [
+        (lambda: hamming_clustering(np.array([1, 0]), np.array([1, -1])), r"labels must be \+-1"),
+        (lambda: hamming_recovery([1], [1], 0.0), "expected_signals must be positive"),
+        (lambda: hamming_recovery_signed([1.0], [1.0], -1.0), "expected_signals must be positive"),
+    ],
+    ids=["labels", "recovery", "signed_recovery"],
+)
+def test_losses_reject_bad_arguments(loss, needle):
+    with pytest.raises(ValueError, match=f"^{needle}$"):
+        loss()
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50))
     def test_simultaneous_flip_invariance(self, labels):

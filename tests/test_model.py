@@ -183,6 +183,25 @@ class TestGenDataset:
         with pytest.raises(ValueError, match=f"coloring matrix {side} must be finite"):
             NoiseSpec.colored(**{side: m})
 
+    @pytest.mark.parametrize(
+        "build, needle",
+        [
+            (lambda: NoiseSpec(kind="pink"), "kind must be 'white' or 'colored', got 'pink'"),
+            (lambda: NoiseSpec(kind="white", A=np.eye(3)), "white noise takes no coloring matrices"),
+            (lambda: NoiseSpec(kind="white", B=np.eye(3)), "white noise takes no coloring matrices"),
+            (lambda: diagonal_coloring(5, 0.5), "cond must be >= 1"),
+            (lambda: gen_labels(0, np.random.default_rng(0)), "n must be at least 1"),
+            (lambda: gen_mu(5, 0.0, 1.0, 0.0, np.random.default_rng(0)), r"epsilon must lie in \(0, 1\]"),
+            (lambda: gen_mu(5, 1.5, 1.0, 0.0, np.random.default_rng(0)), r"epsilon must lie in \(0, 1\]"),
+            (lambda: gen_mu(5, 0.5, -1.0, 0.0, np.random.default_rng(0)), "tau must be nonnegative"),
+            (lambda: gen_mu(5, 0.5, 1.0, 0.6, np.random.default_rng(0)), r"sign_mix_a must lie in \[0, 1/2\]"),
+        ],
+        ids=["kind", "white_A", "white_B", "cond", "labels_n", "epsilon_0", "epsilon_big", "tau", "sign_mix_a"],
+    )
+    def test_bad_noise_and_draw_arguments_rejected(self, build, needle):
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            build()
+
     @staticmethod
     def outer_product_reference(params, noise, seed):
         """outer(labels, mu) + Z built from the same three child streams as gen_dataset."""

@@ -159,6 +159,10 @@ class TestNoncentralChisqSf:
     def test_zero_noncentrality_is_central(self):
         assert noncentral_chisq_sf(12.3, 9, 0.0) == chisq_sf(12.3, 9)
 
+    def test_rejects_negative_noncentrality(self):
+        with pytest.raises(ValueError, match="^noncentrality must be nonnegative$"):
+            noncentral_chisq_sf(12.3, 9, -0.5)
+
 
 class TestFoldedMoments:
     def test_mean_at_zero(self):

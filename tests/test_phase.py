@@ -273,6 +273,9 @@ class TestRhoStarTheta:
     def test_domain(self):
         with pytest.raises(ValueError):
             rho_star_theta(0.5, 0.76)
+        for theta in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\)$"):
+                rho_star_theta(theta, 0.6)
 
 
 class TestClassify:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rareweak.cluster import EnumerationBudgetError, default_sparsity
+from rareweak.cluster import EnumerationBudgetError, default_sparsity, sparse_aggregation_greedy
 from rareweak.metrics import hamming_recovery, hamming_recovery_signed
 from rareweak.model import ArwParams, gen_dataset
 from rareweak.recover import (
@@ -96,20 +96,20 @@ class TestSaN:
 
         rng = np.random.default_rng(82)
         X = rng.standard_normal((10, 9))
-        res = recover_sa_N(X, N=2, greedy=False)
+        res = recover_sa_N(X, N=2)
         best = max(
             itertools.combinations(range(9), 2),
             key=lambda S: float(np.abs(X[:, S].sum(axis=1)).sum()),
         )
         assert set(res.support.tolist()) == set(best)
 
-    def test_exact_by_default_greedy_on_request(self):
-        # the exact-or-greedy rule lives in the harness; the wrapper runs the solver it is given
+    def test_over_budget_raises_naming_greedy(self):
+        # the exact-or-greedy rule lives in the harness (TestRunTrial runs the greedy half);
+        # the wrapper always enumerates, so C(60, 20) is over its default budget
         rng = np.random.default_rng(83)
         X = rng.standard_normal((10, 60))
-        with pytest.raises(EnumerationBudgetError):
-            recover_sa_N(X, N=20, budget=1000)
-        assert recover_sa_N(X, N=20, greedy=True, budget=1000).support.size == 20
+        with pytest.raises(EnumerationBudgetError, match="sparse_aggregation_greedy"):
+            recover_sa_N(X, N=20)
 
     @pytest.mark.slow
     def test_error_trends_down_with_p(self):
@@ -120,8 +120,8 @@ class TestSaN:
             errs = []
             for seed in range(4):
                 ds = gen_dataset(params, seed=7200 + seed)
-                res = recover_sa_N(ds.X, N, greedy=True, restarts=1, seed=seed)
-                errs.append(hamming_recovery(res.support, ds.support, params.expected_signals))
+                support = sparse_aggregation_greedy(ds.X, N, restarts=1, seed=seed).selected
+                errs.append(hamming_recovery(support, ds.support, params.expected_signals))
             means.append(float(np.mean(errs)))
         assert means[0] > means[1] > means[2]
 

@@ -50,13 +50,15 @@ class TestChi2Scores:
                 # since a score near 0 is a difference of two numbers of that size
                 np.testing.assert_allclose(chi2_scores(Y), ref, rtol=1e-12, atol=1e-12 * math.sqrt(n))
 
-    @pytest.mark.slow
     def test_null_moments(self):
+        # under the null each score has mean 0, variance 1 and fourth moment 3 + 12/n, so
+        # the sample mean and variance of p scores have standard errors 1/sqrt(p) and
+        # sqrt((2 + 12/n)/p); the bounds are 5 and 3.5 of those (about 0.035 each)
+        n, p = 200, 20_000
         rng = np.random.default_rng(40)
-        X = rng.standard_normal((10_000, 10_000))
-        Q = chi2_scores(X)
-        assert abs(Q.mean()) <= 0.05
-        assert Q.var() == pytest.approx(1.0, abs=0.05)
+        Q = chi2_scores(rng.standard_normal((n, p)))
+        assert abs(Q.mean()) <= 5 / math.sqrt(p)
+        assert Q.var() == pytest.approx(1.0, abs=3.5 * math.sqrt((2 + 12 / n) / p))
 
 
 class TestSelectFeatures:
@@ -219,6 +221,11 @@ class TestPredictSelection:
             predict_selection(ArwParams(p=100, theta=0.5, beta=0.5, alpha=0.2), q=0.5)
         with pytest.raises(ValueError):
             predict_selection(ArwParams(p=100, theta=0.5, beta=0.5, r=0.2), q=0.0)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    def test_null_rejects_nonpositive_q(self, q):
+        with pytest.raises(ValueError, match="^q must be positive$"):
+            predict_null_selection(10_000, 0.5, q)
 
     def test_pi0_against_null_monte_carlo(self):
         p_cols, n, q = 100_000, 100, 1.0

@@ -88,9 +88,8 @@ def _add_boundary(sub):
 def _add_ifpca(sub):
     p = sub.add_parser("ifpca-run", help="applied pipeline on a labeled CSV")
     p.add_argument("--data", type=Path, required=True)
-    labels = p.add_mutually_exclusive_group()
-    labels.add_argument("--labels", type=Path, help="separate one-label-per-line file")
-    labels.add_argument("--label-column", help="label column name inside the data CSV")
+    p.add_argument("--labels", type=Path, help="separate one-label-per-line file")
+    p.add_argument("--label-column", help="label column name inside the data CSV")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--q", type=float)
     mode.add_argument("--fdr", type=float)

@@ -410,10 +410,11 @@ class TestIfpcaCommand:
         dpath.write_text("g0,g1,group\n1,2,a\n3,4,b\n5,7,a\n7,8,b\n")
         lpath = tmp_path / "labels.txt"
         lpath.write_text("a\nb\na\nb\na\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--label-column", "group", "--q", "0.3"])
-        assert exit_info.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        code, _, err = run_cli(
+            ["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--label-column", "group", "--q", "0.3"], capsys
+        )
+        assert code == 2
+        assert "cannot load data: provide labels_path or label_column, not both" in err
 
     def test_sweep_mode(self, tmp_path, capsys):
         dpath, lpath = self.data_files(tmp_path)

@@ -37,6 +37,14 @@ class TestHammingClustering:
         with pytest.raises(ValueError, match="^length mismatch$"):
             hamming_recovery_signed(np.array([1.0, 0.0]), np.array([1.0]), 1.0)
 
+    @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50))
+    def test_simultaneous_flip_invariance(self, labels):
+        est = np.asarray(labels)
+        rng = np.random.default_rng(7)
+        truth = rng.choice([-1, 1], est.size)
+        assert hamming_clustering(est, truth) == hamming_clustering(-est, -truth)
+        assert hamming_clustering(est, truth) <= 0.5
+
 
 @pytest.mark.parametrize(
     "loss, needle",
@@ -50,14 +58,6 @@ class TestHammingClustering:
 def test_losses_reject_bad_arguments(loss, needle):
     with pytest.raises(ValueError, match=f"^{needle}$"):
         loss()
-
-    @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50))
-    def test_simultaneous_flip_invariance(self, labels):
-        est = np.asarray(labels)
-        rng = np.random.default_rng(7)
-        truth = rng.choice([-1, 1], est.size)
-        assert hamming_clustering(est, truth) == hamming_clustering(-est, -truth)
-        assert hamming_clustering(est, truth) <= 0.5
 
 
 class TestHammingRecovery:

@@ -64,7 +64,7 @@ __all__ = [
     "enum_configs",
 ]
 
-DEFAULT_ENUM_BUDGET = 2_000_000
+DEFAULT_ENUM_BUDGET = 2_000_000  # most (support, sign pattern) pairs an exact search enumerates
 _MAX_SWEEPS = 50  # cap on the greedy search's 1-swap improvement passes per restart
 
 
@@ -147,7 +147,7 @@ def _sign_patterns(signs: tuple, N: int, start: int, stop: int) -> np.ndarray:
 
 
 def _exact_search(
-    X: np.ndarray, N: int, signs: tuple, budget: int, solver_hint: str
+    X: np.ndarray, N: int, signs: tuple, solver_hint: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Best (support, sign pattern) pair by exhaustive enumeration.
 
@@ -163,9 +163,9 @@ def _exact_search(
     n, p = X.shape
     _check_sparsity(p, N)
     n_configs = enum_configs(p, N, signed=len(signs) > 1)
-    if n_configs > budget:
+    if n_configs > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"{n_configs} configurations exceed the enumeration budget {budget}; use {solver_hint} instead"
+            f"{n_configs} configurations exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; use {solver_hint} instead"
         )
     X = np.asarray(X, dtype=float)
     _checked_row_max(X, N)
@@ -329,15 +329,13 @@ def _greedy_search(
     return support, pattern, running, obj
 
 
-def sparse_aggregation_exact(
-    X: np.ndarray, N: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> ClusterResult:
+def sparse_aggregation_exact(X: np.ndarray, N: int) -> ClusterResult:
     """Globally optimal N-column aggregation by exhaustive enumeration.
 
     Ties go to the lexicographically smallest index set. Refuses to run
-    when comb(p, N) exceeds ``budget``.
+    when comb(p, N) exceeds DEFAULT_ENUM_BUDGET.
     """
-    support, _, running, obj = _exact_search(X, N, (1,), budget, "sparse_aggregation_greedy")
+    support, _, running, obj = _exact_search(X, N, (1,), "sparse_aggregation_greedy")
     return ClusterResult(labels=_sgn(running), selected=support, objective=obj)
 
 
@@ -373,7 +371,7 @@ def if_pca(X: np.ndarray, q: float) -> ClusterResult:
 
 def screened_pca(X: np.ndarray, scores: np.ndarray, q: float) -> ClusterResult:
     """if_pca on known column scores ``scores = chi2_scores(X)``."""
-    selected = select_features(scores, X.shape[1], q)
+    selected = select_features(scores, q)
     if selected.size == 0:
         fallback = classical_pca(X)
         return ClusterResult(labels=fallback.labels, selected=selected, singular=fallback.singular, fallback_used=True)
@@ -384,7 +382,6 @@ def screened_pca(X: np.ndarray, scores: np.ndarray, q: float) -> ClusterResult:
 def signed_sparse_aggregation(
     X: np.ndarray,
     N: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
     greedy: bool = False,
     restarts: int = 8,
     seed: int = 0,
@@ -394,16 +391,15 @@ def signed_sparse_aggregation(
     Labels are the sign of X @ w. The weight vector doubles as a sign
     estimate of the feature effects (w and -w tie by symmetry; the
     returned one has its first nonzero weight positive). The exact
-    solver evaluates comb(p, N) 2^(N-1) (support, pattern) pairs and is
-    budget-capped by that count; ``greedy`` runs the same search as
-    sparse_aggregation_greedy over both signs.
+    solver evaluates comb(p, N) 2^(N-1) (support, pattern) pairs and
+    refuses to run when that count exceeds DEFAULT_ENUM_BUDGET;
+    ``greedy`` runs the same search as sparse_aggregation_greedy over
+    both signs.
     """
     if greedy:
         support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed)
     else:
-        support, pattern, running, obj = _exact_search(
-            X, N, (1, -1), budget, "signed_sparse_aggregation(greedy=True)"
-        )
+        support, pattern, running, obj = _exact_search(X, N, (1, -1), "signed_sparse_aggregation(greedy=True)")
     w = np.zeros(X.shape[1])
     w[support] = pattern
     return ClusterResult(labels=_sgn(running), selected=support, objective=obj, mu_hat=w)

@@ -83,9 +83,6 @@ def _is_real(value) -> bool:
 # what each method option may be besides null; its range is checked when the method runs
 _OPTION_TYPES = {
     "N": ("an integer", _is_integer),
-    "budget": ("an integer", _is_integer),
-    "restarts": ("an integer", _is_integer),
-    "greedy": ("a bool", lambda v: isinstance(v, bool)),
     "q": ("a real number", _is_real),
 }
 
@@ -228,21 +225,10 @@ class MethodArgs:
             return spectral.q_star(pr.theta, pr.beta, pr.r)
         return float(self._get("q", 3.0))
 
-    @property
-    def budget(self) -> int:
-        return int(self._get("budget", cluster.DEFAULT_ENUM_BUDGET))
-
-    @property
-    def restarts(self) -> int:
-        return int(self._get("restarts", 8))
-
     def greedy(self, signed: bool = False) -> bool:
         """The one exact-or-greedy rule of the N-column aggregation searches:
-        the ``greedy`` option if set, else whether exhaustive enumeration
-        would exceed the budget."""
-        if self.opts.get("greedy") is not None:
-            return self.opts["greedy"]
-        return cluster.enum_configs(self.params.p, self.N, signed) > self.budget
+        whether exhaustive enumeration would exceed cluster.DEFAULT_ENUM_BUDGET."""
+        return cluster.enum_configs(self.params.p, self.N, signed) > cluster.DEFAULT_ENUM_BUDGET
 
 
 @dataclass(frozen=True)
@@ -255,14 +241,11 @@ class Method:
     run: Callable
 
 
-_SEARCH_OPTIONS = frozenset({"N", "budget", "greedy", "restarts"})
-
-
 def _unsigned_search(X: np.ndarray, a: MethodArgs, greedy: bool) -> cluster.ClusterResult:
-    """The trial's one unsigned N-column search with these options."""
+    """The trial's one unsigned N-column search with this solver and N."""
     if greedy:
-        return a.once(cluster.sparse_aggregation_greedy, X, a.N, restarts=a.restarts, seed=a.seed)
-    return a.once(cluster.sparse_aggregation_exact, X, a.N, budget=a.budget)
+        return a.once(cluster.sparse_aggregation_greedy, X, a.N, seed=a.seed)
+    return a.once(cluster.sparse_aggregation_exact, X, a.N)
 
 
 # Entries call the library through its module attributes, so a function
@@ -272,22 +255,16 @@ def _unsigned_search(X: np.ndarray, a: MethodArgs, greedy: bool) -> cluster.Clus
 # and are computed once per trial.
 METHODS = {
     "simple_agg": Method("clustering", frozenset(), lambda X, a: a.once(cluster.simple_aggregation, X)),
-    "sparse_agg_exact": Method(
-        "clustering", frozenset({"N", "budget"}), lambda X, a: _unsigned_search(X, a, greedy=False)
-    ),
-    "sparse_agg_greedy": Method(
-        "clustering", frozenset({"N", "restarts"}), lambda X, a: _unsigned_search(X, a, greedy=True)
-    ),
+    "sparse_agg_exact": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=False)),
+    "sparse_agg_greedy": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=True)),
     "classical_pca": Method("clustering", frozenset(), lambda X, a: a.once(cluster.classical_pca, X)),
     "if_pca": Method(
         "clustering", frozenset({"q"}), lambda X, a: cluster.screened_pca(X, a.once(spectral.chi2_scores, X), a.q)
     ),
     "signed_sparse_agg": Method(
         "clustering",
-        _SEARCH_OPTIONS,
-        lambda X, a: cluster.signed_sparse_aggregation(
-            X, a.N, budget=a.budget, greedy=a.greedy(signed=True), restarts=a.restarts, seed=a.seed
-        ),
+        frozenset({"N"}),
+        lambda X, a: cluster.signed_sparse_aggregation(X, a.N, greedy=a.greedy(signed=True), seed=a.seed),
     ),
     "recover_sa_star": Method(
         "recovery",
@@ -301,7 +278,7 @@ METHODS = {
     ),
     "recover_sa_n": Method(
         "recovery",
-        _SEARCH_OPTIONS,
+        frozenset({"N"}),
         lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected),
     ),
     "recover_if_q": Method(
@@ -315,7 +292,7 @@ METHODS = {
     "agg_chi2": Method("tests", frozenset(), lambda X, a: hyptest.simple_agg_test(X)),
     "sparse_agg_l1": Method(
         "tests",
-        _SEARCH_OPTIONS,
+        frozenset({"N"}),
         lambda X, a: hyptest.sparse_agg_outcome(_unsigned_search(X, a, a.greedy()).objective, *X.shape, a.N),
     ),
     "higher_criticism": Method(

@@ -111,10 +111,12 @@ def hc_statistic(pvalues: np.ndarray) -> float:
 
     A P-value of exactly 0 is a tail that underflowed: it counts as the
     smallest positive double, so its term is the strongest. Terms whose
-    sorted P-value is exactly 1 (or outside [0, 1]) are skipped. Returns
-    -inf if every term in range is skipped.
+    sorted P-value is exactly 1 are skipped. Returns -inf if every term
+    is skipped. A NaN or a P-value outside [0, 1] raises ValueError.
     """
     pv = np.sort(np.asarray(pvalues, dtype=float))
+    if not ((pv >= 0.0) & (pv <= 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("P-values must lie in [0, 1]")
     return _hc_max(pv[: pv.size // 2], pv.size)
 
 

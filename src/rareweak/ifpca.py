@@ -198,7 +198,7 @@ def ifpca_pipeline(
         pv = _null_two_sided_pvalues(scores, n)
         cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]
     else:
-        cuts = [(float(qv), select_features(scores, p, qv)) for qv in ([q] if mode == "q" else sweep)]
+        cuts = [(float(qv), select_features(scores, qv)) for qv in ([q] if mode == "q" else sweep)]
     rows = []
     for row_q, sel in cuts:
         fallback = sel.size == 0

@@ -76,7 +76,7 @@ def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
 
 def screen_support(scores: np.ndarray, q: float) -> RecoveryResult:
     """recover_if_q on known column scores ``scores = chi2_scores(X)``."""
-    return RecoveryResult(support=select_features(scores, scores.size, q))
+    return RecoveryResult(support=select_features(scores, q))
 
 
 def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:

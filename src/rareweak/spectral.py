@@ -74,8 +74,8 @@ def screen_threshold(p: int, q: float) -> float:
     return math.sqrt(2 * q * math.log(p))
 
 
-def select_features(scores: np.ndarray, p: int, q: float) -> np.ndarray:
-    """Sorted indices with score >= sqrt(2 q log p); equality is kept.
+def select_features(scores: np.ndarray, q: float) -> np.ndarray:
+    """Sorted indices with score >= sqrt(2 q log p), p = scores.size; equality is kept.
 
     An empty selection is a legal result and is returned as such. A NaN
     or infinite score (from a non-finite column) raises ValueError rather
@@ -83,7 +83,7 @@ def select_features(scores: np.ndarray, p: int, q: float) -> np.ndarray:
     """
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite (X has a NaN or inf)")
-    return np.flatnonzero(scores >= screen_threshold(p, q))
+    return np.flatnonzero(scores >= screen_threshold(scores.size, q))
 
 
 def leading_left_singular(M: np.ndarray) -> SingularPair:
@@ -140,6 +140,8 @@ def _prediction(n: int, p: int, q: float, s: float, lam: float, qt: float) -> Sp
     The screen keeps a column whose squared norm clears n + 2 sqrt(q n log p).
     With s = 0 there are no signal columns and pi1 is 0.
     """
+    if not q > 0:
+        raise ValueError("q must be positive")
     logp = math.log(p)
     cut = n + 2 * math.sqrt(q * n * logp)
     pi0 = chisq_sf(cut, n)
@@ -161,8 +163,6 @@ def predict_selection(params: ArwParams, q: float) -> SpectralPrediction:
     expected count as a stand-in for its trace-weighted counterpart
     (the two agree to first order).
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
     if params.r is None:
         raise ValueError("predict_selection needs the log-adjusted (r) calibration")
     qt = q_tilde(params.beta, params.theta, params.r)
@@ -174,6 +174,4 @@ def predict_null_selection(p: int, theta: float, q: float) -> SpectralPrediction
 
     The crossover reduces to 1 - theta and the expected count to p * pi0.
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
     return _prediction(_sample_size(p, theta), p, q, 0, 0.0, 1 - theta)

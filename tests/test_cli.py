@@ -73,6 +73,7 @@ class TestSimulateCommand:
             ({"methods": {"simple_agg": {}}, "seed": 1}, "params"),
             ([{"params": PARAMS, "methods": {"simple_agg": {}}, "seed": 1}], "JSON object"),
             ({"params": PARAMS, "methods": {"signed_sparse_agg": ["N"]}, "seed": 1}, "signed_sparse_agg"),
+            ({"params": PARAMS, "methods": {"recover_sa_n": {"greedy": True}}, "seed": 1}, "does not accept ['greedy']"),
             ({"params": PARAMS, "methods": ONE, "seed": 1.5}, "field 'seed' must be an integer"),
             ({"params": PARAMS, "methods": ONE, "seed": True}, "field 'seed' must be an integer"),
             ({"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1}, "field 'p' must be an integer"),
@@ -94,6 +95,7 @@ class TestSimulateCommand:
             "no_params",
             "top_level_list",
             "options_not_object",
+            "greedy_option",
             "fractional_seed",
             "bool_seed",
             "fractional_p",
@@ -131,7 +133,7 @@ class TestSimulateCommand:
     def test_partial_failure_exit_3(self, tmp_path, capsys):
         spec = {
             "params": {"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15, "r": None, "sign_mix_a": 0.0},
-            "methods": {"sparse_agg_exact": {"N": 50, "budget": 10}, "simple_agg": {}},
+            "methods": {"sparse_agg_exact": {"N": 50}, "simple_agg": {}},
             "seed": 1,
             "noise": {"kind": "white"},
         }
@@ -307,24 +309,24 @@ class TestSweepCommand:
         [
             {"if_pca": {"Q": 0.1}},
             {"magic": {}},
-            {"signed_sparse_agg": {"greedy": "false"}},
-            {"sparse_agg_l1": {"greedy": 0}},
+            {"signed_sparse_agg": {"greedy": False}},
+            {"sparse_agg_l1": {"greedy": True}},
             {"sparse_agg_exact": {"N": 2.7}},
             {"sparse_agg_exact": {"N": True}},
-            {"sparse_agg_exact": {"budget": "10"}},
-            {"sparse_agg_greedy": {"restarts": 1.5}},
+            {"sparse_agg_exact": {"budget": 10}},
+            {"sparse_agg_greedy": {"restarts": 2}},
             {"if_pca": {"q": "3"}},
             {"recover_if_q": {"q": False}},
         ],
         ids=[
             "bad_option",
             "unknown",
-            "greedy_string",
-            "greedy_int",
+            "greedy_false",
+            "greedy_true",
             "N_fractional",
             "N_bool",
-            "budget_string",
-            "restarts_fractional",
+            "budget",
+            "restarts",
             "q_string",
             "q_bool",
         ],

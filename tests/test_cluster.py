@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rareweak import harness
+from rareweak import cluster, harness
 from rareweak.cluster import (
     EnumerationBudgetError,
     _candidate_values,
@@ -99,7 +99,7 @@ class TestSparseAggregationExact:
     def test_budget_error_names_greedy(self):
         X = np.zeros((2, 40))
         with pytest.raises(EnumerationBudgetError, match="greedy"):
-            sparse_aggregation_exact(X, N=20, budget=1000)
+            sparse_aggregation_exact(X, N=20)
 
 
 def enumeration_oracle(X, N, signs):
@@ -208,7 +208,7 @@ def exact_reference_instances():
 def test_exact_matches_reference(signs):
     seen = {"integer": 0, "fortran": 0, "strided": 0, "N>=9": 0, "chunks": 0}
     for label, X, N in exact_reference_instances():
-        support, pattern, running, obj = _exact_search(X, N, signs, math.inf, "greedy")
+        support, pattern, running, obj = _exact_search(X, N, signs, "greedy")
         want = exact_reference(X, N, signs)
         assert support.tolist() == want[0].tolist(), label
         assert pattern.tolist() == want[1].tolist(), label
@@ -738,15 +738,17 @@ class TestSignedSparseAggregation:
     def test_budget_error(self):
         X = np.zeros((2, 30))
         with pytest.raises(EnumerationBudgetError):
-            signed_sparse_aggregation(X, N=15, budget=100)
+            signed_sparse_aggregation(X, N=15)
 
-    def test_budget_charges_evaluated_pairs(self):
+    def test_budget_charges_evaluated_pairs(self, monkeypatch):
         # p = N = 5: one support with 2^4 sign patterns, the first sign fixed
         X = np.random.default_rng(75).standard_normal((6, 5))
         assert enum_configs(5, 5, signed=True) == 16
-        assert signed_sparse_aggregation(X, N=5, budget=16).selected.tolist() == [0, 1, 2, 3, 4]
+        monkeypatch.setattr(cluster, "DEFAULT_ENUM_BUDGET", 16)
+        assert signed_sparse_aggregation(X, N=5).selected.tolist() == [0, 1, 2, 3, 4]
+        monkeypatch.setattr(cluster, "DEFAULT_ENUM_BUDGET", 15)
         with pytest.raises(EnumerationBudgetError, match="16 configurations exceed the enumeration budget 15"):
-            signed_sparse_aggregation(X, N=5, budget=15)
+            signed_sparse_aggregation(X, N=5)
 
 
 def kmeans_cost(values, labels):

@@ -73,11 +73,11 @@ class TestRunTrial:
     def test_method_error_does_not_abort(self):
         spec = TrialSpec(
             params=ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15),
-            methods={"sparse_agg_exact": {"N": 50, "budget": 10}, "simple_agg": {}},
+            methods={"sparse_agg_exact": {"N": 50}, "simple_agg": {}},
             seed=1,
         )
         rec = run_trial(spec)
-        assert "error" in rec.clustering["sparse_agg_exact"]
+        assert "enumeration budget" in rec.clustering["sparse_agg_exact"]["error"]
         assert "hamming" in rec.clustering["simple_agg"]
         assert rec.has_errors
 
@@ -89,7 +89,7 @@ class TestRunTrial:
             "sparse_agg_exact": {"N": 3},
             "sparse_agg_greedy": {"N": 3},
             "signed_sparse_agg": {"N": 3},
-            "sparse_agg_l1": {"N": 3, "greedy": True},
+            "sparse_agg_l1": {"N": 3},
         }
         spec = TrialSpec(params=params, methods=methods, seed=2, noise=NoiseSpec.colored(B=1e307 * np.eye(10)))
         rec = run_trial(spec)
@@ -131,23 +131,6 @@ class TestRunTrial:
         blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
         assert spec.spec_hash() == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def test_restarts_below_one_is_a_method_error(self):
-        params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
-        methods = {
-            "sparse_agg_greedy": {"restarts": 0},
-            "signed_sparse_agg": {"greedy": True, "restarts": -3},
-            "recover_sa_n": {"greedy": True, "restarts": 0},
-            "sparse_agg_l1": {"greedy": True, "restarts": 0},
-            "simple_agg": {},
-        }
-        rec = run_trial(TrialSpec(params=params, methods=methods, seed=1))
-        error = "restarts must be an integer of at least 1, got {}"
-        assert rec.clustering["sparse_agg_greedy"] == {"error": error.format(0)}
-        assert rec.clustering["signed_sparse_agg"] == {"error": error.format(-3)}
-        assert rec.recovery["recover_sa_n"] == {"error": error.format(0)}
-        assert rec.tests["sparse_agg_l1"] == {"error": error.format(0)}
-        assert "hamming" in rec.clustering["simple_agg"]
-
     @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
     def test_bad_seed_rejected_when_built(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
@@ -164,7 +147,16 @@ class TestRunTrial:
 
     @pytest.mark.parametrize(
         "methods, bad",
-        [({"if_pca": {"Q": 0.01}}, "Q"), ({"sparse_agg_l1": {"solver": "greedy"}}, "solver")],
+        [
+            ({"if_pca": {"Q": 0.01}}, "Q"),
+            ({"sparse_agg_l1": {"solver": "greedy"}}, "solver"),
+            # the solver and its settings follow from p and N; a spec sets neither
+            ({"sparse_agg_exact": {"budget": 10}}, "budget"),
+            ({"sparse_agg_greedy": {"restarts": 2}}, "restarts"),
+            ({"signed_sparse_agg": {"greedy": True}}, "greedy"),
+            ({"recover_sa_n": {"N": 3, "greedy": False}}, "greedy"),
+            ({"sparse_agg_l1": {"restarts": None}}, "restarts"),
+        ],
     )
     def test_unaccepted_option_rejected(self, methods, bad):
         (name,) = methods
@@ -184,23 +176,24 @@ class TestRunTrial:
     @pytest.mark.parametrize(
         "name, group", [("sparse_agg_l1", "tests"), ("signed_sparse_agg", "clustering"), ("recover_sa_n", "recovery")]
     )
-    def test_one_exact_or_greedy_rule(self, name, group):
-        params = ArwParams(p=40, theta=0.5, beta=0.8, alpha=0.2)  # default N=3
-        out = {}
-        for label, opts in {
-            "forced_exact": {"greedy": False, "budget": 10},
-            "auto_over_budget": {"budget": 10},
-            "forced_greedy": {"greedy": True, "restarts": 2},
-            "auto_in_budget": {},
-        }.items():
-            out[label] = getattr(run_trial(TrialSpec(params=params, methods={name: opts}, seed=4)), group)[name]
-        assert "enumeration budget 10" in out["forced_exact"]["error"]
-        assert all("error" not in entry for label, entry in out.items() if label != "forced_exact")
+    def test_one_exact_or_greedy_rule(self, name, group, monkeypatch):
+        # the exact search runs within the enumeration budget and the greedy one above it
+        params = ArwParams(p=40, theta=0.5, beta=0.8, alpha=0.2)  # default N=3: C(40, 3) = 9880 supports
+        ran = []
+        for solver in ("_exact_search", "_greedy_search"):
+            real = getattr(cluster, solver)
+            monkeypatch.setattr(cluster, solver, lambda *args, real=real, solver=solver: ran.append(solver) or real(*args))
+        for budget, solver in [(cluster.DEFAULT_ENUM_BUDGET, "_exact_search"), (10, "_greedy_search")]:
+            monkeypatch.setattr(cluster, "DEFAULT_ENUM_BUDGET", budget)
+            ran.clear()
+            entry = getattr(run_trial(TrialSpec(params=params, methods={name: {}}, seed=4)), group)[name]
+            assert "error" not in entry
+            assert ran == [solver]
 
     def test_recover_sa_n_over_budget_runs_greedy(self):
-        # C(60, 20) is far over a budget of 1000, so the one rule picks the greedy search
+        # C(60, 20) is far over the enumeration budget, so the one rule picks the greedy search
         spec = TrialSpec(
-            params=ArwParams(p=60, theta=0.5, beta=0.5, alpha=0.2), methods={"recover_sa_n": {"N": 20, "budget": 1000}}, seed=3
+            params=ArwParams(p=60, theta=0.5, beta=0.5, alpha=0.2), methods={"recover_sa_n": {"N": 20}}, seed=3
         )
         entry = run_trial(spec).recovery["recover_sa_n"]
         assert "error" not in entry
@@ -242,9 +235,9 @@ class TestRunTrial:
             spec = TrialSpec(params=ArwParams(p=120, theta=0.5, beta=0.8, alpha=0.05), methods={name: {}}, seed=2)
             assert not run_trial(spec).has_errors
             assert seen[0] == attr, name
-        # the three methods that read the unsigned greedy search share one call
+        # the three methods that read the unsigned greedy search share one call: C(120, 4) is over budget
         seen.clear()
-        shared = {"sparse_agg_greedy": {}, "sparse_agg_l1": {"greedy": True}, "recover_sa_n": {"greedy": True}}
+        shared = {"sparse_agg_greedy": {"N": 4}, "sparse_agg_l1": {"N": 4}, "recover_sa_n": {"N": 4}}
         assert not run_trial(TrialSpec(params=spec.params, methods=shared, seed=2)).has_errors
         assert seen.count("sparse_aggregation_greedy") == 1
         # and the three methods that read the chi-square column scores share one pass over X
@@ -333,37 +326,38 @@ def test_package_reexports_are_in_module_all():
 
 
 @pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])
-def test_signed_rule_charges_evaluated_pairs(budget, greedy):
+def test_signed_rule_charges_evaluated_pairs(budget, greedy, monkeypatch):
     # p = N = 5: the signed enumeration evaluates one support with 2^4 sign patterns
-    args = MethodArgs({"N": 5, "budget": budget}, ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2), seed=0)
+    monkeypatch.setattr(cluster, "DEFAULT_ENUM_BUDGET", budget)
+    args = MethodArgs({"N": 5}, ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2), seed=0)
     assert args.greedy(signed=True) is greedy
     assert args.greedy() is False
 
 
-SEARCHES = ("signed_sparse_agg", "recover_sa_n", "sparse_agg_l1")
+def test_every_option_type_has_a_method():
+    # the type table names exactly the options some method accepts, so none outlives its last method
+    assert set(harness._OPTION_TYPES) == set().union(*(method.options for method in METHODS.values()))
 
 
 @pytest.mark.parametrize(
     "params, options",
     [
+        # default N = 3: every search enumerates
         (ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1, sign_mix_a=0.5), {}),
-        (ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1), {m: {"greedy": True, "restarts": 3} for m in SEARCHES}),
-        (
-            ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1),
-            {"sparse_agg_exact": {"budget": 10}} | {m: {"greedy": False, "budget": 10} for m in SEARCHES},
-        ),
+        # default N = 6: every search is greedy, and sparse_agg_exact records its budget error
+        (ArwParams(p=300, theta=0.5, beta=0.7, alpha=0.1), {}),
+        # exact searches at N = 2 beside greedy ones at N = 4 and the default N = 6
         (
             ArwParams(p=300, theta=0.5, beta=0.7, alpha=0.1),
             {
                 "sparse_agg_exact": {"N": 2},
-                "sparse_agg_greedy": {"restarts": 1},
-                "sparse_agg_l1": {"greedy": True},
-                "recover_sa_n": {"greedy": True, "N": 4, "restarts": 1},
-                "signed_sparse_agg": {"greedy": True, "restarts": 1},
+                "recover_sa_n": {"N": 2},
+                "signed_sparse_agg": {"N": 2},
+                "sparse_agg_greedy": {"N": 4},
             },
         ),
     ],
-    ids=["exact", "forced_greedy", "budget_errors", "options_differ"],
+    ids=["exact", "greedy", "mixed"],
 )
 def test_shared_results_match_one_method_trials(params, options):
     # results shared within a trial must leave every entry as its own trial records it

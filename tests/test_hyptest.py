@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rareweak.hyptest as ht
+from rareweak import cluster
 from rareweak.cluster import sparse_aggregation_greedy
 from rareweak.harness import METHODS, MethodArgs
 from rareweak.model import ArwParams, gen_dataset
@@ -76,18 +78,24 @@ class TestSparseAggTest:
         assert out.reject
 
     def test_greedy_mode_runs(self):
-        # the greedy test is the method entry with the greedy option
+        # the greedy test is the method entry over budget: C(400, 10) is far above it
         rng = np.random.default_rng(89)
         X = rng.standard_normal((30, 400))
-        out = sparse_agg_entry(X, N=10, greedy=True, restarts=2)
-        objective = sparse_aggregation_greedy(X, 10, restarts=2).objective
+        out = sparse_agg_entry(X, N=10)
+        objective = sparse_aggregation_greedy(X, 10).objective
         assert out == ht.sparse_agg_outcome(objective, 30, 400, 10)
 
 
-def sparse_agg_entry(X, **opts):
-    """The sparse_agg_l1 method entry on X, seed 0, with the given options."""
+def sparse_agg_entry(X, N):
+    """The sparse_agg_l1 method entry on X, seed 0, with this N."""
     params = ArwParams(p=X.shape[1], theta=0.5, beta=0.5, alpha=0.1)
-    return METHODS["sparse_agg_l1"].run(X, MethodArgs(opts, params, 0))
+    return METHODS["sparse_agg_l1"].run(X, MethodArgs({"N": N}, params, 0))
+
+
+def greedy_entry(X, N):
+    """sparse_agg_entry with an enumeration budget of 0, so that the greedy search runs."""
+    with mock.patch.object(cluster, "DEFAULT_ENUM_BUDGET", 0):
+        return sparse_agg_entry(X, N)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +103,7 @@ def sparse_agg_entry(X, **opts):
     [
         ht.simple_agg_test,
         lambda X: ht.sparse_agg_test(X, N=2),
-        lambda X: sparse_agg_entry(X, N=3, greedy=True, restarts=2),
+        lambda X: greedy_entry(X, N=3),
         ht.higher_criticism_test,
         lambda X: METHODS["higher_criticism"].run(X, MethodArgs({}, ArwParams(p=20, theta=0.5, beta=0.5, alpha=0.1), 0)),
         ht.column_pvalues,
@@ -146,6 +154,19 @@ class TestHigherCriticism:
         tiny = np.nextafter(0.0, 1.0)
         assert ht.hc_statistic(pv) == math.sqrt(20) * (1 / 20 - tiny) / math.sqrt(tiny * (1 - tiny))
         assert ht.hc_statistic(np.ones(20)) == -math.inf
+
+    @pytest.mark.parametrize(
+        "pv",
+        [
+            np.full(20, np.nan),
+            np.concatenate([np.full(10, -0.3), np.linspace(0.2, 0.9, 10)]),
+            np.linspace(1.5, 3.0, 20),
+        ],
+        ids=["nan", "negative", "above_one"],
+    )
+    def test_pvalues_outside_unit_interval_rejected(self, pv):
+        with pytest.raises(ValueError, match=r"P-values must lie in \[0, 1\]"):
+            ht.hc_statistic(pv)
 
     @pytest.mark.parametrize("k", [3, 20])
     def test_overwhelming_signal_rejects(self, k):

@@ -131,7 +131,7 @@ class TestIfQ:
         rng = np.random.default_rng(84)
         X = rng.standard_normal((40, 500)) * 1.1
         res = recover_if_q(X, q=0.7)
-        np.testing.assert_array_equal(res.support, select_features(chi2_scores(X), 500, 0.7))
+        np.testing.assert_array_equal(res.support, select_features(chi2_scores(X), 0.7))
 
     def test_null_q3_near_empty(self):
         sizes = [

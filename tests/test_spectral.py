@@ -65,12 +65,12 @@ class TestSelectFeatures:
     def test_huge_q_empty(self):
         rng = np.random.default_rng(41)
         X = rng.standard_normal((100, 2_000))
-        assert select_features(chi2_scores(X), 2_000, q=100.0).size == 0
+        assert select_features(chi2_scores(X), q=100.0).size == 0
 
     def test_tiny_q_selects_nonnegative_scores(self):
         rng = np.random.default_rng(42)
         scores = rng.standard_normal(500)
-        sel = select_features(scores, 500, q=1e-18)
+        sel = select_features(scores, q=1e-18)
         np.testing.assert_array_equal(sel, np.flatnonzero(scores >= screen_threshold(500, 1e-18)))
         assert set(np.flatnonzero(scores > 1e-6)) <= set(sel.tolist())
 
@@ -78,7 +78,7 @@ class TestSelectFeatures:
         p, n, q = 10_000, 100, 1.0
         rng = np.random.default_rng(43)
         X = rng.standard_normal((n, p))
-        sel = select_features(chi2_scores(X), p, q)
+        sel = select_features(chi2_scores(X), q)
         cut = n + math.sqrt(2 * n) * screen_threshold(p, q)
         pi0 = chisq_sf(cut, n)
         sigma = math.sqrt(p * pi0 * (1 - pi0))
@@ -94,8 +94,8 @@ class TestSelectFeatures:
     def test_monotone_nesting(self, q1, q2):
         scores = np.random.default_rng(7).standard_normal(300) * 2
         lo, hi = sorted((q1, q2))
-        inner = set(select_features(scores, 300, hi).tolist())
-        outer = set(select_features(scores, 300, lo).tolist())
+        inner = set(select_features(scores, hi).tolist())
+        outer = set(select_features(scores, lo).tolist())
         assert inner <= outer
 
 
@@ -248,7 +248,7 @@ class TestEmpiricalSpectra:
         cos = []
         for seed in range(10):
             ds = gen_dataset(params, seed=1000 + seed)
-            sel = select_features(chi2_scores(ds.X), params.p, q)
+            sel = select_features(chi2_scores(ds.X), q)
             pair = leading_left_singular(ds.X[:, sel])
             cos.append(abs(pair.vector @ ds.labels) / np.linalg.norm(ds.labels))
         assert np.mean(cos) >= 0.9

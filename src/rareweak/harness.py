@@ -29,7 +29,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import threading
 import time
 from collections.abc import Callable
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import cluster, hyptest, metrics, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
-from .model import ArwParams, Dataset, NoiseSpec, _check_calibration, _check_count, _field, _is_integer, gen_dataset
+from .model import ArwParams, Dataset, NoiseSpec, _check_calibration, _check_count, _check_type, gen_dataset
+from .model import _float_if_real, _from_json, _is_integer, _is_real
 from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
 
 __all__ = [
@@ -75,11 +75,6 @@ METHOD_PRESETS = {
 }
 
 
-def _is_real(value) -> bool:
-    """Whether value is a real number, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # what each method option may be besides null; its range is checked when the method runs
 _OPTION_TYPES = {
     "N": ("an integer", _is_integer),
@@ -88,8 +83,10 @@ _OPTION_TYPES = {
 
 
 def _check_methods(methods: dict) -> None:
-    """Reject an empty method map, an unknown method, or an option its method
-    does not take or of the wrong type."""
+    """Reject a method map that is not a dict or is empty, an unknown method,
+    or an option its method does not take or of the wrong type."""
+    if not isinstance(methods, dict):
+        raise ValueError(f"methods must be an object mapping method names to options, got {methods!r}")
     if not methods:
         raise ValueError("at least one method is required")
     unknown = set(methods) - set(METHODS)
@@ -107,11 +104,6 @@ def _check_methods(methods: dict) -> None:
                 raise ValueError(f"option {key!r} of method {name!r} must be {what} or null, got {value!r}")
 
 
-def _matrix_digest(m: np.ndarray) -> dict:
-    """A dense matrix named by its shape and the SHA-256 of its C-order float64 bytes."""
-    return {"shape": list(m.shape), "sha256": hashlib.sha256(np.asarray(m, dtype=float).tobytes()).hexdigest()}
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     params: ArwParams
@@ -120,47 +112,30 @@ class TrialSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec.white)
 
     def __post_init__(self):
+        _check_type(self, "params", lambda v: isinstance(v, ArwParams), "an ArwParams")
+        _check_type(self, "noise", lambda v: isinstance(v, NoiseSpec), "a NoiseSpec")
         _check_count(self, "seed", 0)
         _check_methods(self.methods)
         self.noise.check_shapes(self.params.n, self.params.p)
 
     def to_dict(self) -> dict:
-        return self._as_dict(np.ndarray.tolist)
-
-    def _as_dict(self, matrix: Callable[[np.ndarray], object]) -> dict:
-        """to_dict with each coloring matrix written as ``matrix(m)``."""
-        noise = {"kind": self.noise.kind}
-        if self.noise.A is not None:
-            noise["A"] = matrix(self.noise.A)
-        if self.noise.B is not None:
-            noise["B"] = matrix(self.noise.B)
+        """The spec's record form; a coloring matrix is named by its digest (see NoiseSpec.to_dict)."""
         return {
             "params": self.params.to_dict(),
             "methods": self.methods,
             "seed": self.seed,
-            "noise": noise,
+            "noise": self.noise.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialSpec":
-        """Inverse of to_dict; a non-object, or a missing or ill-typed field, raises ValueError."""
-        noise_d = _field(d, "noise", dict, {"kind": "white"})
-        A, B = (_field(noise_d, key, (list, type(None)), None) for key in ("A", "B"))
-        noise = NoiseSpec(
-            kind=_field(noise_d, "kind", str),
-            A=None if A is None else np.asarray(A, dtype=float),
-            B=None if B is None else np.asarray(B, dtype=float),
-        )
-        return cls(
-            params=ArwParams.from_dict(_field(d, "params", dict)),
-            methods=_field(d, "methods", dict),
-            seed=_field(d, "seed", int),
-            noise=noise,
-        )
+        """A TrialSpec from a spec file, which lists any coloring matrix as rows;
+        a white-noise record's ``spec`` loads back. Bad input raises ValueError."""
+        return _from_json(cls, d, params=ArwParams.from_dict, noise=NoiseSpec.from_dict)
 
     def spec_hash(self) -> str:
-        """Hash of the spec's JSON form, a coloring matrix entering by its _matrix_digest, not its entries."""
-        blob = json.dumps(self._as_dict(_matrix_digest), sort_keys=True, separators=(",", ":"))
+        """Hash of to_dict() as compact sorted JSON."""
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -466,6 +441,10 @@ class SweepSpec:
     ratio_reference: tuple = ("clustering", "statistical")
 
     def __post_init__(self):
+        # stored as tuples, so that a spec read from JSON lists equals one built from tuples
+        for name in ("betas", "strengths", "ratio_reference"):
+            _check_type(self, name, lambda v: isinstance(v, (list, tuple)), "a list")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.betas or not self.strengths:
             raise ValueError("grids must be nonempty")
         for name in ("betas", "strengths"):
@@ -488,35 +467,14 @@ class SweepSpec:
         _check_methods(self.methods)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "theta": self.theta,
-            "betas": list(self.betas),
-            "strength_kind": self.strength_kind,
-            "strengths": list(self.strengths),
-            "reps": self.reps,
-            "methods": self.methods,
-            "master_seed": self.master_seed,
-            "sign_mix_a": self.sign_mix_a,
-            "ratio_reference": list(self.ratio_reference),
-        }
+        """The fields as JSON, tuples written as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        """Inverse of to_dict; a non-object, or a missing or ill-typed field, raises ValueError."""
-        real, seq = numbers.Real, (list, tuple)
-        return cls(
-            p=_field(d, "p", int),
-            theta=float(_field(d, "theta", real)),
-            betas=tuple(_field(d, "betas", seq)),
-            strength_kind=_field(d, "strength_kind", str),
-            strengths=tuple(_field(d, "strengths", seq)),
-            reps=_field(d, "reps", int, 20),
-            methods=_field(d, "methods", dict, {"simple_agg": {}}),
-            master_seed=_field(d, "master_seed", int, 0),
-            sign_mix_a=float(_field(d, "sign_mix_a", real, 0.0)),
-            ratio_reference=tuple(_field(d, "ratio_reference", seq, ("clustering", "statistical"))),
-        )
+        """Inverse of to_dict: theta and sign_mix_a are read as floats, grid entries as given.
+        Bad input raises ValueError."""
+        return _from_json(cls, d, theta=_float_if_real, sign_mix_a=_float_if_real)
 
     @property
     def variant(self) -> str:

@@ -81,8 +81,11 @@ class LabeledMatrix:
     @cached_property
     def normalized(self) -> NormalizedMatrix:
         """``mad_normalize(X)``, computed on first use and kept with its X read-only. Every
-        pipeline mode and the k-means baseline read it, so X must not change after the first call."""
+        pipeline mode and the k-means baseline read it, so X must not change after the first call.
+        Raises ValueError when every column has zero MAD, since none is left to screen or cluster."""
         norm = mad_normalize(self.X)
+        if norm.X.shape[1] == 0:
+            raise ValueError("every feature has zero median absolute deviation; no column is left to cluster")
         norm.X.flags.writeable = False
         return norm
 

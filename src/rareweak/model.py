@@ -14,9 +14,10 @@ same dataset bit for bit, no matter which pieces are drawn first.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,14 +32,16 @@ __all__ = [
 ]
 
 
-_REQUIRED = object()
-
-
 def _is_integer(value) -> bool:
     """Whether value is an integral number (7 or 7.0), and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_count(obj, name: str, minimum: int) -> None:
@@ -50,27 +53,45 @@ def _check_count(obj, name: str, minimum: int) -> None:
     object.__setattr__(obj, name, int(value))
 
 
-def _field(d: dict, key: str, kind, default=_REQUIRED):
-    """d[key] from a parsed JSON object, checked to be a ``kind``; ``default`` when absent.
+def _check_type(obj, name: str, ok=_is_real, what: str = "a real number") -> None:
+    """Check that attribute ``name`` of obj passes ``ok``, which by default takes
+    a real number (see :func:`_is_real`); the error says it must be ``what``."""
+    value = getattr(obj, name)
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
-    ``kind=int`` takes any integral number (see :func:`_is_integer`) and
-    returns it as an int. Raises ValueError when d is not an object, or
-    the field is ill-typed or missing without a default.
+
+def _float_if_real(value):
+    """float(value) for a real number; anything else is left for the field check."""
+    return float(value) if _is_real(value) else value
+
+
+def _from_json(cls, d, **convert):
+    """cls(**d) from a parsed JSON object, with convert[name] applied to field name.
+
+    Checks only the object's shape: d is an object, with no field that cls
+    lacks and every field that has no default. Every value rule is cls's own,
+    so a spec file and a spec built in Python get the same error. An error
+    raised by a convert entry (a nested object's own from_dict, say)
+    becomes a ValueError prefixed with the field's name.
     """
     if not isinstance(d, dict):
-        raise ValueError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
-    if key not in d:
-        if default is _REQUIRED:
-            raise ValueError(f"missing field {key!r}")
-        return default
-    value = d[key]
-    if kind is int:
-        if not _is_integer(value):
-            raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-        return int(value)
-    if not isinstance(value, kind):
-        raise ValueError(f"field {key!r} has type {type(value).__name__}")
-    return value
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    declared = fields(cls)
+    unknown = sorted(set(d) - {f.name for f in declared})
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}; {cls.__name__} takes {[f.name for f in declared]}")
+    missing = [f.name for f in declared if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    kwargs = dict(d)
+    for name, fn in convert.items():
+        if name in kwargs:
+            try:
+                kwargs[name] = fn(kwargs[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def _sample_size(p: int, theta: float) -> int:
@@ -81,9 +102,11 @@ def _sample_size(p: int, theta: float) -> int:
 def _check_calibration(obj) -> None:
     """The checks that ArwParams and SweepSpec share, on their fields p,
     theta and sign_mix_a: p is a count of at least 2 (stored as an int),
-    theta lies in (0, 1), n = round(p^theta) is at least 2, and
-    sign_mix_a lies in [0, 1/2]."""
+    theta and sign_mix_a are real numbers, theta lies in (0, 1),
+    n = round(p^theta) is at least 2, and sign_mix_a lies in [0, 1/2]."""
     _check_count(obj, "p", 2)
+    _check_type(obj, "theta")
+    _check_type(obj, "sign_mix_a")
     if not 0.0 < obj.theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     n = _sample_size(obj.p, obj.theta)
@@ -113,6 +136,9 @@ class ArwParams:
 
     def __post_init__(self):
         _check_calibration(self)
+        _check_type(self, "beta")
+        for name in ("alpha", "r"):
+            _check_type(self, name, lambda v: v is None or _is_real(v), "a real number or null")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if (self.alpha is None) == (self.r is None):
@@ -141,27 +167,29 @@ class ArwParams:
         return self.p * self.epsilon
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "theta": self.theta,
-            "beta": self.beta,
-            "alpha": None if self.alpha is None else ("inf" if math.isinf(self.alpha) else self.alpha),
-            "r": self.r,
-            "sign_mix_a": self.sign_mix_a,
-        }
+        """The fields as JSON; ``alpha = inf`` is written as "inf"."""
+        d = asdict(self)
+        if self.alpha is not None and math.isinf(self.alpha):
+            d["alpha"] = "inf"
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArwParams":
-        alpha = _field(d, "alpha", (numbers.Real, str, type(None)), None)
-        r = _field(d, "r", (numbers.Real, type(None)), None)
-        return cls(
-            p=_field(d, "p", int),
-            theta=float(_field(d, "theta", numbers.Real)),
-            beta=float(_field(d, "beta", numbers.Real)),
-            alpha=None if alpha is None else (math.inf if alpha == "inf" else float(alpha)),
-            r=None if r is None else float(r),
-            sign_mix_a=float(_field(d, "sign_mix_a", numbers.Real, 0.0)),
+        """Inverse of to_dict: real numbers are read as floats, and "inf" is the one string alpha takes."""
+        real = _float_if_real
+        return _from_json(
+            cls, d, theta=real, beta=real, r=real, sign_mix_a=real, alpha=lambda v: math.inf if v == "inf" else real(v)
         )
+
+
+def _matrix_digest(m: np.ndarray) -> dict:
+    """A dense matrix named by its shape and the SHA-256 of its C-order float64 bytes."""
+    return {"shape": list(m.shape), "sha256": hashlib.sha256(np.asarray(m, dtype=float).tobytes()).hexdigest()}
+
+
+def _json_matrix(value):
+    """A JSON list of rows as a float array; anything else is left for the field check."""
+    return np.asarray(value, dtype=float) if isinstance(value, list) else value
 
 
 @dataclass
@@ -173,6 +201,8 @@ class NoiseSpec:
     B: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("A", "B"):
+            _check_type(self, name, lambda m: m is None or isinstance(m, np.ndarray), "an array or null")
         if self.kind not in ("white", "colored"):
             raise ValueError(f"kind must be 'white' or 'colored', got {self.kind!r}")
         if self.kind == "white" and (self.A is not None or self.B is not None):
@@ -194,6 +224,17 @@ class NoiseSpec:
     @classmethod
     def colored(cls, A: np.ndarray | None = None, B: np.ndarray | None = None) -> "NoiseSpec":
         return cls(kind="colored", A=A, B=B)
+
+    def to_dict(self) -> dict:
+        """The record form: the kind, and each coloring matrix named by its
+        _matrix_digest rather than listed, so it does not load back."""
+        matrices = {"A": self.A, "B": self.B}
+        return {"kind": self.kind} | {name: _matrix_digest(m) for name, m in matrices.items() if m is not None}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NoiseSpec":
+        """A NoiseSpec from its spec-file form, each coloring matrix a list of rows."""
+        return _from_json(cls, d, A=_json_matrix, B=_json_matrix)
 
 
 def diagonal_coloring(p: int, cond: float) -> np.ndarray:

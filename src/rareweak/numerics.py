@@ -51,12 +51,9 @@ def chisq_sf(x: float, dof: int) -> float:
 
     Relative error is below 1e-10 for x up to dof + 40*sqrt(dof).
 
-    Raises ValueError for x < 0, NaN x or dof < 1.
+    Raises ValueError as ``chisq_sf_vec`` does: for x < 0, NaN x, or a dof
+    that is not a positive integer (inf included).
     """
-    if dof < 1 or int(dof) != dof:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
-    if not x >= 0.0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
     return float(chisq_sf_vec(x, dof))
 
 
@@ -144,8 +141,8 @@ def chisq_sf_vec(x, dof) -> np.ndarray:
     scores, or a whole Poisson mixture of degrees of freedom, is array
     work in blocks of entries instead of scalar calls.
 
-    Raises ValueError like ``chisq_sf``: for any x that is negative or
-    NaN, or for any dof that is not a positive integer.
+    Raises ValueError for any x that is negative or NaN, or for any dof
+    that is not a positive integer.
     """
     k = np.asarray(dof)
     if not (np.isfinite(k).all() and (k >= 1).all() and (k == np.floor(k)).all()):

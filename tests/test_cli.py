@@ -74,10 +74,16 @@ class TestSimulateCommand:
             ([{"params": PARAMS, "methods": {"simple_agg": {}}, "seed": 1}], "JSON object"),
             ({"params": PARAMS, "methods": {"signed_sparse_agg": ["N"]}, "seed": 1}, "signed_sparse_agg"),
             ({"params": PARAMS, "methods": {"recover_sa_n": {"greedy": True}}, "seed": 1}, "does not accept ['greedy']"),
-            ({"params": PARAMS, "methods": ONE, "seed": 1.5}, "field 'seed' must be an integer"),
-            ({"params": PARAMS, "methods": ONE, "seed": True}, "field 'seed' must be an integer"),
-            ({"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1}, "field 'p' must be an integer"),
-            ({"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1}, "alpha must be positive"),
+            ({"params": PARAMS, "methods": ONE, "seed": 1.5}, "seed must be an integer of at least 0, got 1.5"),
+            ({"params": PARAMS, "methods": ONE, "seed": True}, "seed must be an integer of at least 0, got True"),
+            (
+                {"params": {**PARAMS, "p": 300.9}, "methods": ONE, "seed": 1},
+                "params: p must be an integer of at least 2, got 300.9",
+            ),
+            (
+                {"params": {**PARAMS, "alpha": "nan"}, "methods": ONE, "seed": 1},
+                "params: alpha must be a real number or null, got 'nan'",
+            ),
             ({"params": PARAMS, "methods": ONE, "seed": -1}, "seed must be an integer of at least 0"),
             ({"params": {**PARAMS, "p": 100, "theta": 0.05}, "methods": ONE, "seed": 1}, "calibration gives n=1 < 2"),
             (
@@ -88,6 +94,13 @@ class TestSimulateCommand:
                 {"params": PARAMS, "methods": ONE, "seed": 1, "noise": {"kind": "colored", "B": [1.0] * 300}},
                 "B must be 300x300, got (300,)",
             ),
+            ({"params": PARAMS, "methods": ONE, "seed": 1, "sed": 2}, "unknown fields ['sed']"),
+            ({"params": {**PARAMS, "sign_mix": 0.5}, "methods": ONE, "seed": 1}, "params: unknown fields ['sign_mix']"),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1, "noise": {"kind": "white", "a": 1}},
+                "noise: unknown fields ['a']",
+            ),
+            ({"params": PARAMS, "methods": ONE, "seed": 1, "noise": "white"}, "noise: expected a JSON object, got str"),
         ],
         ids=[
             "flags",
@@ -104,6 +117,10 @@ class TestSimulateCommand:
             "n_one",
             "A_wrong_shape",
             "B_one_dimensional",
+            "unknown_trial_field",
+            "unknown_params_field",
+            "unknown_noise_field",
+            "noise_not_object",
         ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):
@@ -255,11 +272,11 @@ class TestSweepCommand:
             (lambda spec: {"p": 300}, "theta"),
             (lambda spec: {**spec, "betas": 0.3}, "betas"),
             (lambda spec: [spec], "JSON object"),
-            (lambda spec: {**spec, "p": math.inf}, "field 'p' must be an integer"),
-            (lambda spec: {**spec, "p": 300.9}, "field 'p' must be an integer"),
-            (lambda spec: {**spec, "reps": 2.7}, "field 'reps' must be an integer"),
-            (lambda spec: {**spec, "reps": True}, "field 'reps' must be an integer"),
-            (lambda spec: {**spec, "master_seed": 5.5}, "field 'master_seed' must be an integer"),
+            (lambda spec: {**spec, "p": math.inf}, "p must be an integer of at least 2, got inf"),
+            (lambda spec: {**spec, "p": 300.9}, "p must be an integer of at least 2, got 300.9"),
+            (lambda spec: {**spec, "reps": 2.7}, "reps must be an integer of at least 1, got 2.7"),
+            (lambda spec: {**spec, "reps": True}, "reps must be an integer of at least 1, got True"),
+            (lambda spec: {**spec, "master_seed": 5.5}, "master_seed must be an integer of at least 0, got 5.5"),
             (lambda spec: {**spec, "master_seed": -1}, "master_seed must be an integer of at least 0"),
             (lambda spec: {**spec, "reps": 0}, "reps must be an integer of at least 1"),
             (lambda spec: {**spec, "betas": ["x"]}, "betas entries must be real numbers, got 'x'"),
@@ -269,6 +286,9 @@ class TestSweepCommand:
             (lambda spec: {**spec, "sign_mix_a": 0.9}, "sign_mix_a must lie in [0, 1/2]"),
             (lambda spec: {**spec, "ratio_reference": ["nope", "x"]}, "unknown problem 'nope'"),
             (lambda spec: {**spec, "p": 100, "theta": 0.05, "strengths": [0.1]}, "calibration gives n=1 < 2"),
+            (lambda spec: {**spec, "rep": 3, "method": {"if_pca": {}}}, "unknown fields ['method', 'rep']"),
+            (lambda spec: {**spec, "methods": ["simple_agg"]}, "methods must be an object"),
+            (lambda spec: {**spec, "ratio_reference": "clustering"}, "ratio_reference must be a list"),
         ],
         ids=[
             "missing_fields",
@@ -288,6 +308,9 @@ class TestSweepCommand:
             "sign_mix_out_of_range",
             "unknown_ratio_reference",
             "n_one",
+            "misspelled_fields",
+            "methods_list",
+            "ratio_reference_string",
         ],
     )
     def test_bad_spec_exit_2(self, tmp_path, capsys, edit, needle):
@@ -391,6 +414,17 @@ class TestIfpcaCommand:
         assert payload["rows"] == [asdict(row) for row in report.rows]
         if mode == "top_k":
             assert payload["rows"][0]["n_selected"] == 4
+
+    @pytest.mark.parametrize(
+        "mode", [["--q", "1"], ["--sweep", "0.5:1:0.5"], ["--top-k", "1"], ["--fdr", "0.1"]], ids=lambda m: m[0]
+    )
+    def test_all_features_zero_mad_exit_2(self, tmp_path, capsys, mode):
+        # every mode used to fail with its own unclear message
+        dpath = tmp_path / "flat.csv"
+        dpath.write_text("a,b,c,label\n1,2,3,u\n1,2,3,u\n1,2,3,v\n1,5,3,v\n")
+        code, out, err = run_cli(["ifpca-run", "--data", str(dpath), "--label-column", "label", *mode], capsys)
+        assert code == 2 and out == ""
+        assert err == "pipeline error: every feature has zero median absolute deviation; no column is left to cluster\n"
 
     def test_top_k_zero_exit_2(self, tmp_path, capsys):
         dpath, lpath = self.data_files(tmp_path)

@@ -98,18 +98,24 @@ class TestRunTrial:
         assert rec.has_errors
 
     def test_colored_spec_round_trip(self):
+        # a spec file lists A and B; it loads to the Python-built spec, and the record names them by digest
         rng = np.random.default_rng(3)
         noise = NoiseSpec.colored(A=rng.standard_normal((17, 17)), B=diagonal_coloring(300, 4.0))
         params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
         spec = TrialSpec(params=params, methods={"simple_agg": {}}, seed=4, noise=noise)
-        d = json.loads(json.dumps(spec.to_dict()))
-        assert d["noise"]["kind"] == "colored" and len(d["noise"]["A"]) == 17 and len(d["noise"]["B"]) == 300
-        back = TrialSpec.from_dict(d)
+        listed = {"kind": "colored", "A": noise.A.tolist(), "B": noise.B.tolist()}
+        text = json.dumps({"params": params.to_dict(), "methods": {"simple_agg": {}}, "seed": 4, "noise": listed})
+        back = TrialSpec.from_dict(json.loads(text))
         np.testing.assert_array_equal(back.noise.A, noise.A)
         np.testing.assert_array_equal(back.noise.B, noise.B)
-        assert back.to_dict() == spec.to_dict()
         assert back.spec_hash() == spec.spec_hash() != replace(spec, noise=NoiseSpec.white()).spec_hash()
         assert replace(spec, noise=NoiseSpec.colored(B=noise.B)).spec_hash() != spec.spec_hash()
+        digest = {
+            name: {"shape": list(m.shape), "sha256": hashlib.sha256(m.tobytes()).hexdigest()}
+            for name, m in (("A", noise.A), ("B", noise.B))
+        }
+        record = run_trial(back).to_dict()["spec"]
+        assert record == spec.to_dict() and record["noise"] == {"kind": "colored", **digest}
 
     def test_colored_hash_reads_matrix_bytes(self):
         # a coloring matrix enters the hash by its shape and bytes: equal matrices built
@@ -548,6 +554,9 @@ class TestRunSweep:
             ({"betas": ()}, "grids must be nonempty"),
             ({"strengths": []}, "grids must be nonempty"),
             ({"strength_kind": "tau"}, "bad strength_kind 'tau'"),
+            ({"methods": ["simple_agg"]}, r"methods must be an object mapping method names to options, got \['simple"),
+            ({"betas": 0.3}, "betas must be a list, got 0.3"),
+            ({"ratio_reference": None}, "ratio_reference must be a list, got None"),
         ],
     )
     def test_bad_model_fields_rejected_when_built(self, edit, needle):

@@ -234,6 +234,12 @@ class TestBaselineKmeans:
         data = two_blob_data(gap=1.0, seed=11)
         assert baseline_kmeans(data) == baseline_kmeans(data)
 
+    def test_all_features_zero_mad_rejected(self):
+        X = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 5.0, 3.0]])
+        data = LabeledMatrix(X=X, class_labels=np.array(["a", "a", "b", "b"]))
+        with pytest.raises(ValueError, match="^every feature has zero median absolute deviation"):
+            baseline_kmeans(data)
+
 
 class TestBlasPin:
     """Pipeline and k-means runs take the trials' one-thread BLAS pin."""

@@ -61,16 +61,34 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "edit, needle",
         [
-            ({"alpha": "nan"}, "alpha must be positive"),
+            ({"alpha": "nan"}, "alpha must be a real number or null, got 'nan'"),
             ({"alpha": math.nan}, "alpha must be positive"),
-            ({"p": 300.9}, "field 'p' must be an integer"),
-            ({"p": True}, "field 'p' must be an integer"),
-            ({"p": "300"}, "field 'p' must be an integer"),
+            ({"p": 300.9}, "p must be an integer of at least 2, got 300.9"),
+            ({"p": True}, "p must be an integer of at least 2, got True"),
+            ({"p": "300"}, "p must be an integer of at least 2, got '300'"),
+            ({"sign_mix": 0.5}, r"^unknown fields \['sign_mix'\]; ArwParams takes \['p', 'theta', "),
+            ({"theta": "0.5"}, "^theta must be a real number, got '0.5'$"),
+            ({"beta": [0.4]}, r"^beta must be a real number, got \[0.4\]$"),
         ],
     )
     def test_from_dict_rejects(self, edit, needle):
         with pytest.raises(ValueError, match=needle):
             ArwParams.from_dict({"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15, **edit})
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            ({"theta": "0.5"}, "theta must be a real number, got '0.5'"),
+            ({"beta": None}, "beta must be a real number, got None"),
+            ({"alpha": "inf"}, "alpha must be a real number or null, got 'inf'"),
+            ({"alpha": None, "r": True}, "r must be a real number or null, got True"),
+            ({"sign_mix_a": "0"}, "sign_mix_a must be a real number, got '0'"),
+        ],
+    )
+    def test_wrong_types_rejected_when_built(self, edit, needle):
+        # a spec built in Python gets the message a spec file gets; these raised TypeError
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            ArwParams(**{"p": 300, "theta": 0.5, "beta": 0.4, "alpha": 0.15, **edit})
 
     def test_from_dict_integral_p(self):
         base = {"theta": 0.5, "beta": 0.4, "alpha": "inf"}
@@ -189,6 +207,7 @@ class TestGenDataset:
             (lambda: NoiseSpec(kind="pink"), "kind must be 'white' or 'colored', got 'pink'"),
             (lambda: NoiseSpec(kind="white", A=np.eye(3)), "white noise takes no coloring matrices"),
             (lambda: NoiseSpec(kind="white", B=np.eye(3)), "white noise takes no coloring matrices"),
+            (lambda: NoiseSpec.colored(A=[[1.0]]), r"A must be an array or null, got \[\[1.0\]\]"),
             (lambda: diagonal_coloring(5, 0.5), "cond must be >= 1"),
             (lambda: gen_labels(0, np.random.default_rng(0)), "n must be at least 1"),
             (lambda: gen_mu(5, 0.0, 1.0, 0.0, np.random.default_rng(0)), r"epsilon must lie in \(0, 1\]"),
@@ -196,7 +215,9 @@ class TestGenDataset:
             (lambda: gen_mu(5, 0.5, -1.0, 0.0, np.random.default_rng(0)), "tau must be nonnegative"),
             (lambda: gen_mu(5, 0.5, 1.0, 0.6, np.random.default_rng(0)), r"sign_mix_a must lie in \[0, 1/2\]"),
         ],
-        ids=["kind", "white_A", "white_B", "cond", "labels_n", "epsilon_0", "epsilon_big", "tau", "sign_mix_a"],
+        ids=[
+            "kind", "white_A", "white_B", "A_list", "cond", "labels_n", "epsilon_0", "epsilon_big", "tau", "sign_mix_a"
+        ],
     )
     def test_bad_noise_and_draw_arguments_rejected(self, build, needle):
         with pytest.raises(ValueError, match=f"^{needle}$"):

@@ -89,6 +89,8 @@ class TestChisqSf:
             chisq_sf(-0.1, 3)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0)
+        with pytest.raises(ValueError, match="dof must be a positive integer"):
+            chisq_sf(1.0, math.inf)
         with pytest.raises(ValueError):
             chisq_sf(math.nan, 3)
         with pytest.raises(ValueError):

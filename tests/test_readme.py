@@ -1,3 +1,4 @@
+import json
 import re
 import shlex
 from pathlib import Path
@@ -49,3 +50,11 @@ def test_methods_table_matches_method_table():
     table = {name: (group, set(re.findall(r"`(\w+)`", options))) for name, group, options in rows}
     assert len(rows) == len(table)
     assert table == {name: (method.group, set(method.options)) for name, method in harness.METHODS.items()}
+
+
+def test_sweep_spec_example_loads():
+    # README's example spec file passes the spec-file parser, which rejects unknown fields, and reads as written
+    text = README.read_text()
+    example = json.loads(re.search(r"A sweep spec is JSON like:\n\n```json\n(.*?)```", text, re.DOTALL).group(1))
+    written = harness.SweepSpec.from_dict(example).to_dict()
+    assert {key: written[key] for key in example} == example

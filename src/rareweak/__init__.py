@@ -22,7 +22,6 @@ from .harness import SweepSpec, TrialRecord, TrialSpec, run_sweep, run_trial, tr
 from .hyptest import TestOutcome, higher_criticism_test, simple_agg_test, sparse_agg_test
 from .metrics import (
     cos_angle,
-    empirical_test_error,
     hamming_clustering,
     hamming_recovery,
     hamming_recovery_signed,

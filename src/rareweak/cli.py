@@ -206,7 +206,7 @@ def cmd_ifpca(ns) -> int:
     except (ValueError, OSError) as exc:
         print(f"cannot load data: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    kwargs = {}
+    grid = None
     if ns.sweep is not None:
         try:
             start, stop, step = (float(v) for v in ns.sweep.split(":"))
@@ -216,15 +216,9 @@ def cmd_ifpca(ns) -> int:
         if not grid:
             print("bad --sweep, expected start:stop:step with step > 0 and start <= stop", file=sys.stderr)
             return EXIT_BAD_SPEC
-        kwargs["sweep"] = grid
-    elif ns.q is not None:
-        kwargs["q"] = ns.q
-    elif ns.fdr is not None:
-        kwargs["fdr"] = ns.fdr
-    else:
-        kwargs["top_k"] = ns.top_k
     try:
-        report = ifpca_pipeline(data, **kwargs)
+        # argparse's required exclusive group sets exactly one mode
+        report = ifpca_pipeline(data, q=ns.q, fdr=ns.fdr, top_k=ns.top_k, sweep=grid)
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC

@@ -34,12 +34,12 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import cluster, hyptest, metrics, recover, spectral
+from . import cluster, hyptest, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
 from .model import ArwParams, Dataset, NoiseSpec, _check_calibration, _check_count, _check_type, gen_dataset
 from .model import _float_if_real, _from_json, _is_integer, _is_real
@@ -134,9 +134,14 @@ class TrialSpec:
         return _from_json(cls, d, params=ArwParams.from_dict, noise=NoiseSpec.from_dict)
 
     def spec_hash(self) -> str:
-        """Hash of to_dict() as compact sorted JSON."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Hash of to_dict() (see _dict_hash)."""
+        return _dict_hash(self.to_dict())
+
+
+def _dict_hash(d: dict) -> str:
+    """The first 16 hex digits of the SHA-256 of d as compact sorted JSON."""
+    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -370,7 +375,8 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
 
     Results that several methods share are computed once (see
     MethodArgs.once). Per-method failures become {"error": message}
-    entries; the other methods still run.
+    entries; the other methods still run. The record's spec dict is built
+    once, and spec_hash is its hash.
     """
     t0 = time.perf_counter()
     groups = {"clustering": {}, "recovery": {}, "tests": {}}
@@ -384,12 +390,13 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
             except ValueError as exc:  # cluster.EnumerationBudgetError included
                 entry = {"error": str(exc)}
             groups[method.group][name] = entry
+    spec_dict = spec.to_dict()
     return TrialRecord(
-        spec_hash=spec.spec_hash(),
+        spec_hash=_dict_hash(spec_dict),
         seed=spec.seed,
         **groups,
         wall_time=time.perf_counter() - t0,
-        spec=spec.to_dict(),
+        spec=spec_dict,
     )
 
 
@@ -397,26 +404,6 @@ def trial_seed(master_seed: int, cell_index: int, rep: int) -> int:
     """Stable per-trial seed; new cells/reps never disturb existing ones."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(cell_index, rep))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def paired_test_error(params_alt: ArwParams, test_name: str, opts: dict | None, seeds) -> dict:
-    """Type I + type II estimate from paired null/alternative batches.
-
-    Both batches reuse the same seed list (common random numbers), which
-    removes the shared generation noise from the error-sum estimate.
-    The null batch is the alternative calibration with tau forced to 0.
-    """
-    if test_name not in METHODS or METHODS[test_name].group != "tests":
-        raise ValueError(f"unknown test {test_name!r}")
-    params_null = replace(params_alt, alpha=math.inf, r=None)
-    methods = {test_name: opts or {}}
-    null_d, alt_d = [], []
-    for seed in seeds:
-        rec = run_trial(TrialSpec(params=params_null, methods=methods, seed=int(seed)))
-        null_d.append(rec.tests[test_name]["reject"])
-        rec = run_trial(TrialSpec(params=params_alt, methods=methods, seed=int(seed)))
-        alt_d.append(rec.tests[test_name]["reject"])
-    return metrics.empirical_test_error(null_d, alt_d)
 
 
 @dataclass(frozen=True)

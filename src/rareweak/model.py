@@ -90,7 +90,9 @@ def _from_json(cls, d, **convert):
             try:
                 kwargs[name] = fn(kwargs[name])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name}: {exc}") from exc
+                # an index path such as [0][1] joins the field name directly: B[0][1]
+                sep = "" if str(exc).startswith("[") else ": "
+                raise ValueError(f"{name}{sep}{exc}") from exc
     return cls(**kwargs)
 
 
@@ -187,9 +189,30 @@ def _matrix_digest(m: np.ndarray) -> dict:
     return {"shape": list(m.shape), "sha256": hashlib.sha256(np.asarray(m, dtype=float).tobytes()).hexdigest()}
 
 
+def _check_json_array(rows: list, path: str = "") -> None:
+    """Raise ValueError at the first entry of a nested JSON list that breaks its
+    shape, naming its index path (such as [0][1]): the entries must all be real
+    numbers, or all lists as long as the first."""
+    if rows and isinstance(rows[0], list):
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(rows[0]):
+                got = f"a list of {len(row)}" if isinstance(row, list) else repr(row)
+                raise ValueError(f"{path}[{i}] must be a list of {len(rows[0])} entries, got {got}")
+            _check_json_array(row, f"{path}[{i}]")
+    elif not set(map(type, rows)) <= {int, float}:  # JSON numbers are int or float; any other type is checked
+        for i, x in enumerate(rows):
+            if not _is_real(x):
+                raise ValueError(f"{path}[{i}] must be a real number, got {x!r}")
+
+
 def _json_matrix(value):
-    """A JSON list of rows as a float array; anything else is left for the field check."""
-    return np.asarray(value, dtype=float) if isinstance(value, list) else value
+    """A JSON list of rows of real numbers as a float array (its shape is
+    NoiseSpec.check_shapes's to judge); anything but a list is left for the
+    field check."""
+    if not isinstance(value, list):
+        return value
+    _check_json_array(value)
+    return np.array(value, dtype=float)
 
 
 @dataclass
@@ -251,22 +274,13 @@ def diagonal_coloring(p: int, cond: float) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """One n-by-p data matrix with optional truth."""
+    """One n-by-p data matrix as gen_dataset drew it, with its truth: the
+    +-1 labels, the feature effects mu and their sorted support."""
 
     X: np.ndarray
-    labels: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    support: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.labels is not None and not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be +-1")
-        if self.mu is not None:
-            sup = np.flatnonzero(self.mu)
-            if self.support is None:
-                self.support = sup
-            elif not np.array_equal(np.sort(self.support), sup):
-                raise ValueError("support does not match the nonzeros of mu")
+    labels: np.ndarray
+    mu: np.ndarray
+    support: np.ndarray
 
 
 def gen_labels(n: int, rng: np.random.Generator) -> np.ndarray:

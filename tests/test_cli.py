@@ -101,6 +101,21 @@ class TestSimulateCommand:
                 "noise: unknown fields ['a']",
             ),
             ({"params": PARAMS, "methods": ONE, "seed": 1, "noise": "white"}, "noise: expected a JSON object, got str"),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1,
+                 "noise": {"kind": "colored", "B": [[True, False], [False, True]]}},
+                "noise: B[0][0] must be a real number, got True",
+            ),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1,
+                 "noise": {"kind": "colored", "B": [[1.0, None], [0.0, 1.0]]}},
+                "noise: B[0][1] must be a real number, got None",
+            ),
+            (
+                {"params": PARAMS, "methods": ONE, "seed": 1,
+                 "noise": {"kind": "colored", "A": [[1.0, 0.0], [0.0, 1.0, 2.0]]}},
+                "noise: A[1] must be a list of 2 entries, got a list of 3",
+            ),
         ],
         ids=[
             "flags",
@@ -121,6 +136,9 @@ class TestSimulateCommand:
             "unknown_params_field",
             "unknown_noise_field",
             "noise_not_object",
+            "B_bool_entries",
+            "B_null_entry",
+            "A_ragged_rows",
         ],
     )
     def test_invalid_spec_exit_2(self, tmp_path, capsys, spec, needle):

@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rareweak import cluster, harness
+from rareweak import cluster, harness, model
 from rareweak.harness import (
     METHODS,
     MethodArgs,
     SweepSpec,
     TrialSpec,
     canonical_json,
-    paired_test_error,
     run_sweep,
     run_trial,
     sweep_csv_rows,
@@ -116,6 +115,18 @@ class TestRunTrial:
         }
         record = run_trial(back).to_dict()["spec"]
         assert record == spec.to_dict() and record["noise"] == {"kind": "colored", **digest}
+
+    def test_record_digests_each_matrix_once(self, monkeypatch):
+        # the record's spec dict is built once and its hash is spec_hash: A and B are digested once each
+        calls = []
+        digest = model._matrix_digest
+        monkeypatch.setattr(model, "_matrix_digest", lambda m: calls.append(m.shape) or digest(m))
+        noise = NoiseSpec.colored(A=diagonal_coloring(17, 2.0), B=diagonal_coloring(300, 4.0))
+        params = ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15)
+        spec = TrialSpec(params=params, methods={"agg_chi2": {}}, noise=noise)
+        rec = run_trial(spec)
+        assert sorted(calls) == [(17, 17), (300, 300)]
+        assert rec.spec_hash == spec.spec_hash()
 
     def test_colored_hash_reads_matrix_bytes(self):
         # a coloring matrix enters the hash by its shape and bytes: equal matrices built
@@ -602,16 +613,17 @@ class TestRunSweep:
         )
 
 
-class TestPairedTestError:
-    def test_strong_signal_error_sum_zero(self):
-        params = ArwParams(p=2_000, theta=0.5, beta=0.2, alpha=0.05)
-        out = paired_test_error(params, "agg_chi2", {}, seeds=range(10))
-        assert out["type1"] == 0.0 and out["type2"] == 0.0
-
-    def test_unknown_test_rejected(self):
-        params = ArwParams(p=500, theta=0.5, beta=0.3, alpha=0.1)
-        with pytest.raises(ValueError):
-            paired_test_error(params, "nope", {}, seeds=range(2))
+class TestTestingErrors:
+    def test_null_cell_reads_type_one_error(self):
+        # a strength of Infinity is the null: its rejection rate is the type I error,
+        # and the alternative cell's is one minus the type II error
+        text = """{"p": 2000, "theta": 0.5, "betas": [0.2], "strength_kind": "alpha",
+                   "strengths": [Infinity, 0.05], "reps": 10, "methods": {"agg_chi2": {}}}"""
+        null, alt = run_sweep(SweepSpec.from_dict(json.loads(text)))["cells"]
+        assert null["strength"] == math.inf and null["alpha"] is None and null["regions"] == {}
+        assert null["results"]["tests"]["agg_chi2"]["rejection_rate"] == 0.0
+        assert alt["alpha"] == 0.05 and alt["regions"]
+        assert alt["results"]["tests"]["agg_chi2"]["rejection_rate"] == 1.0
 
 
 class TestPersistence:

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rareweak.metrics import (
     cos_angle,
-    empirical_test_error,
     hamming_clustering,
     hamming_recovery,
     hamming_recovery_signed,
@@ -73,6 +72,18 @@ class TestHammingRecovery:
         plus3 = hamming_recovery(np.arange(8), true, expected_signals=10.0)
         assert plus3 == pytest.approx(base + 3 / 10.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_arithmetic(self, seed):
+        # the array count against the symmetric difference of Python sets, on seeded
+        # supports with duplicates, empty supports and every overlap in between
+        rng = np.random.default_rng(seed)
+        for est_size, true_size in ((0, 0), (0, 9), (12, 0), (30, 25), (400, 3), (3, 400)):
+            est = rng.integers(0, 60 + 40 * seed, size=est_size)
+            true = np.unique(rng.integers(0, 60 + 40 * seed, size=true_size))
+            expected = len(set(est.tolist()) ^ set(true.tolist())) / 7.5
+            assert hamming_recovery(est, true, expected_signals=7.5) == expected
+            assert hamming_recovery(est.tolist(), true[::-1], expected_signals=7.5) == expected
+
     def test_signed_mirror_cases(self):
         mu = np.array([0.0, 2.0, -2.0])
         assert hamming_recovery_signed(mu, mu, expected_signals=2.0) == 0.0
@@ -122,30 +133,6 @@ class TestCosAngle:
         ham = hamming_clustering(np.where(xi >= 0, 1, -1), ell)
         assert cos >= 0.99
         assert ham <= 0.01
-
-
-class TestEmpiricalTestError:
-    def test_all_correct(self):
-        out = empirical_test_error([False] * 10, [True] * 10)
-        assert out["type1"] == 0.0 and out["type2"] == 0.0 and out["sum"] == 0.0
-
-    def test_always_reject(self):
-        out = empirical_test_error([True] * 8, [True] * 8)
-        assert out["type1"] == 1.0 and out["type2"] == 0.0 and out["sum"] == 1.0
-
-    def test_coin_flip_sum_near_one(self):
-        rng = np.random.default_rng(96)
-        nulls = rng.random(4_000) < 0.5
-        alts = rng.random(4_000) < 0.5
-        out = empirical_test_error(nulls, alts)
-        lo1, hi1 = out["type1_ci"]
-        lo2, hi2 = out["type2_ci"]
-        assert lo1 <= 0.5 <= hi1 and lo2 <= 0.5 <= hi2
-        assert out["sum"] == pytest.approx(1.0, abs=0.05)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_test_error([], [True])
 
 
 def test_wilson_interval_contains_point():

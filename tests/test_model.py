@@ -1,12 +1,13 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rareweak.model import (
     ArwParams,
-    Dataset,
     NoiseSpec,
     diagonal_coloring,
     gen_dataset,
@@ -223,6 +224,24 @@ class TestGenDataset:
         with pytest.raises(ValueError, match=f"^{needle}$"):
             build()
 
+    @pytest.mark.parametrize(
+        "matrix, needle",
+        [
+            ([[1.0, 0.0], [0.0, "1"]], "B[1][1] must be a real number, got '1'"),
+            ([[1.0, 0.0], 1.0], "B[1] must be a list of 2 entries, got 1.0"),
+            ([1.0, [0.0]], "B[1] must be a real number, got [0.0]"),
+        ],
+        ids=["string", "row_not_list", "mixed_depth"],
+    )
+    def test_from_dict_rejects_bad_matrix_entries(self, matrix, needle):
+        # booleans, null and ragged rows are cases of tests/test_cli.py's invalid spec files
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+            NoiseSpec.from_dict({"kind": "colored", "B": matrix})
+
+    def test_from_dict_takes_any_real_entries(self):
+        B = NoiseSpec.from_dict({"kind": "colored", "B": [[1, np.float64(0.5)], [Fraction(1, 4), 2.0]]}).B
+        np.testing.assert_array_equal(B, [[1.0, 0.5], [0.25, 2.0]])
+
     @staticmethod
     def outer_product_reference(params, noise, seed):
         """outer(labels, mu) + Z built from the same three child streams as gen_dataset."""
@@ -267,6 +286,14 @@ class TestGenDataset:
             tracemalloc.stop()
         assert peak < 1.2 * ds.X.nbytes
 
+    @pytest.mark.parametrize("kw", [{}, {"sign_mix_a": 0.5}, {"alpha": math.inf}], ids=["one_sided", "signed", "null"])
+    def test_support_and_labels_as_drawn(self, kw):
+        # gen_dataset is Dataset's one constructor: its support is the sorted nonzeros of mu, its labels +-1
+        for seed in range(5):
+            ds = gen_dataset(self.params(**kw), seed=seed)
+            np.testing.assert_array_equal(ds.support, np.flatnonzero(ds.mu))
+            assert ds.labels.shape == (ds.X.shape[0],) and set(ds.labels.tolist()) <= {-1, 1}
+
     def test_reproducible_bitwise(self):
         params = self.params(sign_mix_a=0.25)
         a = gen_dataset(params, seed=123)
@@ -277,12 +304,3 @@ class TestGenDataset:
         c = gen_dataset(params, seed=124)
         assert not np.array_equal(a.X, c.X)
 
-
-class TestSerialization:
-    def test_dataset_invariants(self):
-        with pytest.raises(ValueError):
-            Dataset(X=np.zeros((2, 2)), labels=np.array([1, 2]))
-        with pytest.raises(ValueError):
-            Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]), support=np.array([2]))
-        ds = Dataset(X=np.zeros((2, 3)), mu=np.array([0.0, 1.0, 0.0]))
-        np.testing.assert_array_equal(ds.support, [1])

@@ -53,8 +53,10 @@ def test_methods_table_matches_method_table():
 
 
 def test_sweep_spec_example_loads():
-    # README's example spec file passes the spec-file parser, which rejects unknown fields, and reads as written
+    # README's example spec files (the null-cell one spells its strength Infinity) pass the
+    # spec-file parser, which rejects unknown fields, and read as written
     text = README.read_text()
-    example = json.loads(re.search(r"A sweep spec is JSON like:\n\n```json\n(.*?)```", text, re.DOTALL).group(1))
-    written = harness.SweepSpec.from_dict(example).to_dict()
-    assert {key: written[key] for key in example} == example
+    for intro in ("A sweep spec is JSON like:", "This sweep has a null cell and an alternative one:"):
+        example = json.loads(re.search(re.escape(intro) + r"\n\n```json\n(.*?)```", text, re.DOTALL).group(1))
+        written = harness.SweepSpec.from_dict(example).to_dict()
+        assert {key: written[key] for key in example} == example

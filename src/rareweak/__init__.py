@@ -36,7 +36,7 @@ from .model import (
     gen_mu,
 )
 from .numerics import bh_threshold, chisq_sf, folded_mean, std_normal_sf
-from .phase import PhaseAnswer, PhaseQuery, boundary, classify, rho_star, rho_star_theta
+from .phase import PhaseAnswer, PhaseQuery, boundary, rho_star, rho_star_theta
 from .recover import (
     RecoveryResult,
     recover_if_q,

@@ -102,8 +102,6 @@ def _add_ifpca(sub):
 def _spec_from_flags(ns) -> TrialSpec:
     if ns.spec is not None:
         return TrialSpec.from_dict(json.loads(ns.spec.read_text()))
-    if (ns.alpha is None) == (ns.r is None):
-        raise ValueError("set exactly one of --alpha and --r")
     params = ArwParams(p=ns.p, theta=ns.theta, beta=ns.beta, alpha=ns.alpha, r=ns.r, sign_mix_a=ns.a)
     if ns.methods.startswith("preset:"):
         preset = ns.methods.removeprefix("preset:")
@@ -121,10 +119,11 @@ def _spec_from_flags(ns) -> TrialSpec:
 
 
 def _write(text: str, out: Path | None):
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -148,7 +147,7 @@ def cmd_simulate(ns) -> int:
         return EXIT_BAD_SPEC
     record = run_trial(spec)
     if ns.format == "json":
-        _write(json.dumps(record.to_dict(), sort_keys=True, indent=1), ns.out)
+        _write(canonical_json(record.to_dict()), ns.out)
     else:
         rows = []
         for group in ("clustering", "recovery", "tests"):
@@ -170,13 +169,10 @@ def cmd_sweep(ns) -> int:
     result = run_sweep(sweep, workers=ns.workers)
     rows = sweep_csv_rows(result)
     if ns.out is not None:
-        stem = ns.out
-        Path(str(stem) + ".json").write_text(canonical_json(result))
-        Path(str(stem) + ".csv").write_text(_rows_to_csv(rows))
-    elif ns.format == "json":
-        _write(canonical_json(result), None)
+        _write(canonical_json(result), Path(str(ns.out) + ".json"))
+        _write(_rows_to_csv(rows), Path(str(ns.out) + ".csv"))
     else:
-        _write(_rows_to_csv(rows), None)
+        _write(canonical_json(result) if ns.format == "json" else _rows_to_csv(rows), None)
     partial = any("error" in c for c in result["cells"]) or any(
         c.get("results", {}).get("n_errors", 0) for c in result["cells"] if "results" in c
     )
@@ -231,7 +227,7 @@ def cmd_ifpca(ns) -> int:
     }
     if ns.baseline_kmeans:
         payload["baseline_kmeans_errors"] = baseline_kmeans(data)
-    _write(json.dumps(payload, sort_keys=True, indent=1), ns.out)
+    _write(canonical_json(payload), ns.out)
     return EXIT_OK
 
 

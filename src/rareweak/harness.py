@@ -10,7 +10,7 @@ Sweeps lay cells out on a (beta, strength) grid. Per-trial seeds are
 derived as SeedSequence(master_seed, spawn_key=(cell_index, rep)), so
 adding cells or reps never perturbs existing trials, and parallel
 execution cannot change any result. Sweep JSON output is canonical
-(sorted keys); everything time-dependent lives in a separate "meta"
+(sorted keys, strict JSON); everything time-dependent lives in a separate "meta"
 block so reruns are byte-identical outside it.
 
 Each trial runs numpy's OpenBLAS on one thread; sweeps get their
@@ -43,7 +43,7 @@ from . import cluster, hyptest, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
 from .model import ArwParams, Dataset, NoiseSpec, _check_calibration, _check_count, _check_type, gen_dataset
 from .model import _float_if_real, _from_json, _is_integer, _is_real
-from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, classify, rho_star_theta
+from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, region, rho_star_theta
 
 __all__ = [
     "TrialSpec",
@@ -262,7 +262,9 @@ METHODS = {
         lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected),
     ),
     "recover_if_q": Method(
-        "recovery", frozenset({"q"}), lambda X, a: recover.screen_support(a.once(spectral.chi2_scores, X), a.q)
+        "recovery",
+        frozenset({"q"}),
+        lambda X, a: recover.RecoveryResult(support=spectral.select_features(a.once(spectral.chi2_scores, X), a.q)),
     ),
     "recover_signed_pca": Method(
         "recovery",
@@ -446,11 +448,7 @@ class SweepSpec:
             raise ValueError(f"bad strength_kind {self.strength_kind!r}")
         if len(self.ratio_reference) != 2:
             raise ValueError(f"ratio_reference must be a (problem, bound kind) pair, got {list(self.ratio_reference)!r}")
-        problem, kind = self.ratio_reference
-        if problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {problem!r}")
-        if kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {kind!r}")
+        PhaseQuery(*self.ratio_reference)  # raises on an unknown problem or bound kind
         _check_methods(self.methods)
 
     def to_dict(self) -> dict:
@@ -459,9 +457,10 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        """Inverse of to_dict: theta and sign_mix_a are read as floats, grid entries as given.
-        Bad input raises ValueError."""
-        return _from_json(cls, d, theta=_float_if_real, sign_mix_a=_float_if_real)
+        """Inverse of to_dict and canonical_json: theta and sign_mix_a are read as floats,
+        grid entries as given but "inf", "-inf" and "nan" as floats. Bad input raises ValueError."""
+        grid = lambda v: [float(x) if x in ("inf", "-inf", "nan") else x for x in v] if isinstance(v, list) else v
+        return _from_json(cls, d, theta=_float_if_real, sign_mix_a=_float_if_real, betas=grid, strengths=grid)
 
     @property
     def variant(self) -> str:
@@ -533,13 +532,10 @@ def _classify_cell(sweep: SweepSpec, beta: float, params: ArwParams) -> dict:
     if params.alpha is not None and not math.isinf(params.alpha):
         for problem in PROBLEMS:
             for kind in BOUND_KINDS:
-                regions[f"{problem}:{kind}"] = classify(problem, kind, sweep.variant, sweep.theta, beta, params.alpha)
+                ref = boundary(PhaseQuery(problem, kind, sweep.variant, sweep.theta, beta)).alpha_boundary
+                regions[f"{problem}:{kind}"] = region(ref - params.alpha)
     elif params.r is not None and 0.5 < beta < 1 - sweep.theta / 2:
-        rho = rho_star_theta(sweep.theta, beta)
-        if abs(params.r - rho) <= 1e-12:
-            regions["ifpca_cosine"] = "on_boundary"
-        else:
-            regions["ifpca_cosine"] = "possible" if params.r > rho else "impossible"
+        regions["ifpca_cosine"] = region(params.r - rho_star_theta(sweep.theta, beta))
     return regions
 
 
@@ -596,9 +592,19 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     }
 
 
+def _spell_nonfinite(value):
+    """value with each non-finite float replaced by its str(): "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _spell_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_nonfinite(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def canonical_json(payload: dict, drop_meta: bool = False) -> str:
+    """payload as strict JSON (see _spell_nonfinite), with sorted keys and indent 1."""
     body = {k: v for k, v in payload.items() if not (drop_meta and k == "meta")}
-    return json.dumps(body, sort_keys=True, indent=1)
+    return json.dumps(_spell_nonfinite(body), sort_keys=True, indent=1, allow_nan=False)
 
 
 def sweep_csv_rows(result: dict) -> list[dict]:

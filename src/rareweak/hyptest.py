@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import sparse_aggregation_exact
+from .cluster import _require_finite, sparse_aggregation_exact
 from .numerics import chisq_sf_vec
 from .spectral import chi2_scores
 
@@ -44,15 +44,10 @@ __all__ = [
 class TestOutcome:
     statistic: float
     threshold: float
-    reject: bool
 
-    def __post_init__(self):
-        if self.reject != (self.statistic >= self.threshold):
-            raise ValueError("reject flag inconsistent with statistic/threshold")
-
-
-def _outcome(stat: float, threshold: float) -> TestOutcome:
-    return TestOutcome(statistic=stat, threshold=threshold, reject=stat >= threshold)
+    @property
+    def reject(self) -> bool:
+        return self.statistic >= self.threshold
 
 
 def simple_agg_test(X: np.ndarray) -> TestOutcome:
@@ -64,10 +59,9 @@ def simple_agg_test(X: np.ndarray) -> TestOutcome:
     """
     n, p = X.shape
     xbar = X.mean(axis=1)
-    if not np.isfinite(xbar).all():
-        raise ValueError("X must be finite")
+    _require_finite(xbar)
     stat = (p * float(xbar @ xbar) - n) / math.sqrt(2 * n)
-    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(p)))
+    return TestOutcome(stat, 2.0 * math.sqrt(2 * math.log(p)))
 
 
 def sparse_agg_test(X: np.ndarray, N: int) -> TestOutcome:
@@ -85,7 +79,7 @@ def sparse_agg_outcome(objective: float, n: int, p: int, N: int) -> TestOutcome:
     """sparse_agg_test's verdict on a known best N-column L1 value of an n-by-p X."""
     stat = objective / math.sqrt(N)
     threshold = math.sqrt(2 / math.pi) * n + math.sqrt(2 * n * (N + 2) * math.log(p))
-    return _outcome(stat, threshold)
+    return TestOutcome(stat, threshold)
 
 
 def column_pvalues(X: np.ndarray) -> np.ndarray:
@@ -97,8 +91,7 @@ def column_pvalues(X: np.ndarray) -> np.ndarray:
     its column's P-value would be 0 or undefined.
     """
     Q = chi2_scores(X)
-    if not np.isfinite(Q).all():
-        raise ValueError("X must be finite")
+    _require_finite(Q)
     return _score_pvalues(Q, X.shape[0])
 
 
@@ -146,8 +139,7 @@ def higher_criticism_outcome(scores: np.ndarray, n: int) -> TestOutcome:
     p = scores.size
     if p < 8:
         raise ValueError("need p >= 8 so that log log p is positive")
-    if not np.isfinite(scores).all():
-        raise ValueError("X must be finite")
+    _require_finite(scores)
     top = np.partition(scores, p - p // 2)[p - p // 2 :]
     stat = _hc_max(np.sort(_score_pvalues(top, n)), p)
-    return _outcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))))
+    return TestOutcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))))

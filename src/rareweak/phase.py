@@ -25,7 +25,7 @@ __all__ = [
     "PhaseQuery",
     "PhaseAnswer",
     "boundary",
-    "classify",
+    "region",
     "rho_star",
     "rho_star_theta",
     "hypothesis_segment_count",
@@ -64,11 +64,6 @@ class PhaseQuery:
 class PhaseAnswer:
     alpha_boundary: float
     segment: str
-
-    def region_of(self, alpha: float) -> str:
-        if abs(alpha - self.alpha_boundary) <= _REGION_TOL:
-            return "on_boundary"
-        return "possible" if alpha < self.alpha_boundary else "impossible"
 
 
 def _pick(beta, pieces):
@@ -190,17 +185,13 @@ def boundary(query: PhaseQuery) -> PhaseAnswer:
     return PhaseAnswer(alpha_boundary=value, segment=segment)
 
 
-def classify(
-    problem: str,
-    bound_kind: str,
-    variant: str,
-    theta: float,
-    beta: float,
-    alpha: float,
-) -> str:
-    """Place a strength exponent alpha relative to the chosen boundary."""
-    ans = boundary(PhaseQuery(problem, bound_kind, variant, theta, beta))
-    return ans.region_of(alpha)
+def region(margin: float) -> str:
+    """The side of a phase curve a point lies on, from its signed margin (boundary
+    alpha minus alpha, or r minus the curve): 'possible' when positive,
+    'impossible' when negative, 'on_boundary' within _REGION_TOL of zero."""
+    if abs(margin) <= _REGION_TOL:
+        return "on_boundary"
+    return "possible" if margin > 0 else "impossible"
 
 
 def rho_star(beta: float) -> float:

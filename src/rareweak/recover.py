@@ -29,7 +29,6 @@ __all__ = [
     "recover_sa_N",
     "recover_if_q",
     "recover_signed_pca",
-    "screen_support",
     "threshold_weighted_means",
     "signed_weighted_means",
 ]
@@ -39,11 +38,6 @@ __all__ = [
 class RecoveryResult:
     support: np.ndarray
     signs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.signs is not None:
-            if not np.array_equal(np.sort(np.flatnonzero(self.signs)), np.sort(self.support)):
-                raise ValueError("signs must be nonzero exactly on the support")
 
 
 def threshold_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:
@@ -71,12 +65,7 @@ def recover_sa_N(X: np.ndarray, N: int) -> RecoveryResult:
 
 def recover_if_q(X: np.ndarray, q: float) -> RecoveryResult:
     """Thresholded chi-square screen (same rule the clustering screen uses)."""
-    return screen_support(chi2_scores(X), q)
-
-
-def screen_support(scores: np.ndarray, q: float) -> RecoveryResult:
-    """recover_if_q on known column scores ``scores = chi2_scores(X)``."""
-    return RecoveryResult(support=select_features(scores, q))
+    return RecoveryResult(support=select_features(chi2_scores(X), q))
 
 
 def signed_weighted_means(X: np.ndarray, labels: np.ndarray) -> RecoveryResult:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -266,6 +267,17 @@ class TestSweepCommand:
         run_cli(["sweep", "--spec", str(path), "--out", str(tmp_path / "result")], capsys)
         assert out == (tmp_path / "result.csv").read_bytes().decode()
         assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+
+    def test_json_to_stdout(self, tmp_path, capsys):
+        # without --out, the JSON printed is the JSON --out writes, trailing newline included;
+        # only the times in "meta" differ
+        path = self.sweep_spec(tmp_path)
+        code, out, _ = run_cli(["sweep", "--spec", str(path)], capsys)
+        assert code == 0
+        run_cli(["sweep", "--spec", str(path), "--out", str(tmp_path / "result")], capsys)
+        written = (tmp_path / "result.json").read_bytes().decode()
+        no_meta = lambda text: re.sub(r'"meta": \{[^}]*\}', '"meta": {}', text)
+        assert no_meta(out) == no_meta(written) and written.endswith("}\n")
 
     def test_out_with_invalid_cell(self, tmp_path, capsys):
         # a beta of 1.5 fails only its own cell, whose CSV row carries the error

@@ -639,6 +639,21 @@ class TestPersistence:
         result = run_sweep(tiny_sweep(reps=2))
         assert json.loads(canonical_json(result))["cells"] == result["cells"]
 
+    def test_null_cell_json_is_strict(self):
+        # strict JSON has no Infinity: the null strength is written "inf" (and -inf "-inf"),
+        # and the written spec loads back as the sweep that ran
+        sweep = tiny_sweep(betas=(0.2,), strength_kind="alpha", strengths=(math.inf, -math.inf, 0.1), reps=2)
+        result = run_sweep(sweep)
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        body = json.loads(canonical_json(result), parse_constant=refuse)
+        assert body["spec"]["strengths"] == ["inf", "-inf", 0.1]
+        assert [cell["strength"] for cell in body["cells"]] == ["inf", "-inf", 0.1]
+        assert result["cells"][0]["strength"] == math.inf
+        assert SweepSpec.from_dict(body["spec"]) == sweep
+
 
 # n = 110: large enough that the bits of X @ X.T depend on the BLAS thread count
 WIDE = dict(p=12_100, theta=0.5, betas=(0.6,), strength_kind="r", strengths=(0.35,), reps=3)

@@ -231,6 +231,8 @@ class TestHigherCriticism:
             assert ht.higher_criticism_outcome(chi2_scores(X), n).statistic == want, (k, n, p)
 
 
-def test_outcome_consistency_guard():
-    with pytest.raises(ValueError):
-        ht.TestOutcome(statistic=1.0, threshold=2.0, reject=True)
+def test_reject_at_threshold():
+    # the rejection region is closed: a statistic equal to its threshold rejects
+    assert ht.TestOutcome(2.0, 2.0).reject
+    assert ht.TestOutcome(2.5, 2.0).reject
+    assert not ht.TestOutcome(np.nextafter(2.0, 0.0), 2.0).reject

@@ -7,8 +7,8 @@ from rareweak.phase import (
     VARIANTS,
     PhaseQuery,
     boundary,
-    classify,
     hypothesis_segment_count,
+    region,
     rho_star,
     rho_star_theta,
 )
@@ -278,18 +278,38 @@ class TestRhoStarTheta:
                 rho_star_theta(theta, 0.6)
 
 
+def alpha_region(problem, kind, variant, theta, beta, alpha):
+    return region(boundary(PhaseQuery(problem, kind, variant, theta, beta)).alpha_boundary - alpha)
+
+
 class TestClassify:
     def test_tiny_alpha_possible(self):
         for problem in PROBLEMS:
-            assert classify(problem, "statistical", "one_sided", 0.4, 0.6, 1e-9) == "possible"
+            assert alpha_region(problem, "statistical", "one_sided", 0.4, 0.6, 1e-9) == "possible"
 
     def test_huge_alpha_impossible(self):
         for problem in PROBLEMS:
             for kind in BOUND_KINDS:
-                assert classify(problem, kind, "one_sided", 0.4, 0.6, 10.0) == "impossible"
+                assert alpha_region(problem, kind, "one_sided", 0.4, 0.6, 10.0) == "impossible"
 
     def test_on_boundary(self):
-        assert classify("clustering", "statistical", "one_sided", 0.5, 0.3, 0.25) == "on_boundary"
+        assert alpha_region("clustering", "statistical", "one_sided", 0.5, 0.3, 0.25) == "on_boundary"
+
+    @pytest.mark.parametrize(
+        "margin, want",
+        [
+            (0.0, "on_boundary"),
+            (1e-12, "on_boundary"),
+            (-1e-12, "on_boundary"),
+            (2e-12, "possible"),
+            (-2e-12, "impossible"),
+            (1.0, "possible"),
+            (-1.0, "impossible"),
+        ],
+    )
+    def test_margin_table(self, margin, want):
+        # within 1e-12 of the curve, either side, is on it; a positive margin is the solvable side
+        assert region(margin) == want
 
 
 ALL_CURVES = [

@@ -5,7 +5,6 @@ from rareweak.cluster import EnumerationBudgetError, default_sparsity, sparse_ag
 from rareweak.metrics import hamming_recovery, hamming_recovery_signed
 from rareweak.model import ArwParams, gen_dataset
 from rareweak.recover import (
-    RecoveryResult,
     recover_if_q,
     recover_if_star,
     recover_sa_N,
@@ -198,10 +197,6 @@ class TestSignedPca:
 
 
 class TestResultInvariants:
-    def test_signs_must_sit_on_support(self):
-        with pytest.raises(ValueError):
-            RecoveryResult(support=np.array([1]), signs=np.array([0.0, 1.0, -1.0]))
-
     def test_empty_estimator_loss_is_one(self):
         true_support = np.arange(10)
         assert hamming_recovery([], true_support, expected_signals=10.0) == 1.0

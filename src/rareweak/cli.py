@@ -127,11 +127,7 @@ def _write(text: str, out: Path | None):
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    fields = []
-    for row in rows:
-        for k in row:
-            if k not in fields:
-                fields.append(k)
+    fields = list(dict.fromkeys(k for row in rows for k in row))  # every key, in order of first use
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
@@ -158,24 +154,23 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    if ns.workers < 1:
-        print(f"invalid --workers: must be at least 1, got {ns.workers}", file=sys.stderr)
-        return EXIT_BAD_SPEC
     try:
         sweep = SweepSpec.from_dict(json.loads(ns.spec.read_text()))
     except (ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    result = run_sweep(sweep, workers=ns.workers)
+    try:
+        result = run_sweep(sweep, workers=ns.workers)
+    except ValueError as exc:  # run_sweep checks workers before it runs; a failure after that is recorded, not raised
+        print(f"invalid --workers: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     rows = sweep_csv_rows(result)
     if ns.out is not None:
         _write(canonical_json(result), Path(str(ns.out) + ".json"))
         _write(_rows_to_csv(rows), Path(str(ns.out) + ".csv"))
     else:
         _write(canonical_json(result) if ns.format == "json" else _rows_to_csv(rows), None)
-    partial = any("error" in c for c in result["cells"]) or any(
-        c.get("results", {}).get("n_errors", 0) for c in result["cells"] if "results" in c
-    )
+    partial = any("error" in c or c["results"]["n_errors"] for c in result["cells"])
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

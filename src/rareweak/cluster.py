@@ -121,6 +121,11 @@ def enum_configs(p: int, N: int, signed: bool = False) -> int:
     return math.comb(p, N) * (2 ** (N - 1) if signed else 1)
 
 
+def _over_budget(p: int, N: int, signed: bool = False) -> bool:
+    """Whether an exact N-of-p search would enumerate more pairs than DEFAULT_ENUM_BUDGET."""
+    return enum_configs(p, N, signed) > DEFAULT_ENUM_BUDGET
+
+
 def simple_aggregation(X: np.ndarray) -> ClusterResult:
     """Sign of the row sums of X."""
     sums = np.sum(X, axis=1)
@@ -162,10 +167,11 @@ def _exact_search(
     """
     n, p = X.shape
     _check_sparsity(p, N)
-    n_configs = enum_configs(p, N, signed=len(signs) > 1)
-    if n_configs > DEFAULT_ENUM_BUDGET:
+    signed = len(signs) > 1
+    if _over_budget(p, N, signed):
         raise EnumerationBudgetError(
-            f"{n_configs} configurations exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; use {solver_hint} instead"
+            f"{enum_configs(p, N, signed)} configurations exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; "
+            f"use {solver_hint} instead"
         )
     X = np.asarray(X, dtype=float)
     _checked_row_max(X, N)
@@ -362,21 +368,16 @@ def classical_pca(X: np.ndarray) -> ClusterResult:
 
 
 def if_pca(X: np.ndarray, q: float) -> ClusterResult:
-    """Chi-square screen, then PCA clustering on the surviving columns.
-
-    An empty screen falls back to classical PCA with fallback_used set.
-    """
-    return screened_pca(X, chi2_scores(X), q)
+    """Chi-square screen, then PCA clustering on the surviving columns (see screened_pca)."""
+    return screened_pca(X, select_features(chi2_scores(X), q))
 
 
-def screened_pca(X: np.ndarray, scores: np.ndarray, q: float) -> ClusterResult:
-    """if_pca on known column scores ``scores = chi2_scores(X)``."""
-    selected = select_features(scores, q)
-    if selected.size == 0:
-        fallback = classical_pca(X)
-        return ClusterResult(labels=fallback.labels, selected=selected, singular=fallback.singular, fallback_used=True)
-    pair = leading_left_singular(X[:, selected])
-    return ClusterResult(labels=_sgn(pair.vector), selected=selected, singular=pair)
+def screened_pca(X: np.ndarray, selected: np.ndarray) -> ClusterResult:
+    """PCA clustering on the columns ``selected`` of X; an empty selection
+    falls back to classical PCA on every column, with fallback_used set."""
+    fallback = selected.size == 0
+    pair = leading_left_singular(X if fallback else X[:, selected])
+    return ClusterResult(labels=_sgn(pair.vector), selected=selected, singular=pair, fallback_used=fallback)
 
 
 def signed_sparse_aggregation(

@@ -42,8 +42,8 @@ import numpy as np
 from . import cluster, hyptest, recover, spectral
 from .metrics import Z95, cos_angle, hamming_clustering, hamming_recovery, hamming_recovery_signed, wilson_interval
 from .model import ArwParams, Dataset, NoiseSpec, _check_calibration, _check_count, _check_type, gen_dataset
-from .model import _float_if_real, _from_json, _is_integer, _is_real
-from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, boundary, region, rho_star_theta
+from .model import _float_if_real, _from_json, _is_integer, _is_real, _read_nonfinite, _spell_nonfinite
+from .phase import BOUND_KINDS, PROBLEMS, PhaseQuery, _in_ifpca_range, boundary, region, rho_star_theta
 
 __all__ = [
     "TrialSpec",
@@ -119,9 +119,9 @@ class TrialSpec:
         self.noise.check_shapes(self.params.n, self.params.p)
 
     def to_dict(self) -> dict:
-        """The spec's record form; a coloring matrix is named by its digest (see NoiseSpec.to_dict)."""
+        """The record form: params as strict JSON (_spell_nonfinite), each coloring matrix by digest."""
         return {
-            "params": self.params.to_dict(),
+            "params": _spell_nonfinite(self.params.to_dict()),
             "methods": self.methods,
             "seed": self.seed,
             "noise": self.noise.to_dict(),
@@ -201,14 +201,17 @@ class MethodArgs:
     @property
     def q(self) -> float:
         pr = self.params
-        if self.opts.get("q") is None and pr.r is not None and 0.5 < pr.beta < 1 - pr.theta / 2:
+        if self.opts.get("q") is None and pr.r is not None and _in_ifpca_range(pr.theta, pr.beta):
             return spectral.q_star(pr.theta, pr.beta, pr.r)
         return float(self._get("q", 3.0))
 
     def greedy(self, signed: bool = False) -> bool:
-        """The one exact-or-greedy rule of the N-column aggregation searches:
-        whether exhaustive enumeration would exceed cluster.DEFAULT_ENUM_BUDGET."""
-        return cluster.enum_configs(self.params.p, self.N, signed) > cluster.DEFAULT_ENUM_BUDGET
+        """Whether the N-column aggregation searches run greedy: see cluster._over_budget."""
+        return cluster._over_budget(self.params.p, self.N, signed)
+
+    def screen(self, X: np.ndarray) -> np.ndarray:
+        """The trial's chi-square screen at q: the columns that if_pca and recover_if_q keep."""
+        return spectral.select_features(self.once(spectral.chi2_scores, X), self.q)
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,7 @@ METHODS = {
     "sparse_agg_exact": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=False)),
     "sparse_agg_greedy": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=True)),
     "classical_pca": Method("clustering", frozenset(), lambda X, a: a.once(cluster.classical_pca, X)),
-    "if_pca": Method(
-        "clustering", frozenset({"q"}), lambda X, a: cluster.screened_pca(X, a.once(spectral.chi2_scores, X), a.q)
-    ),
+    "if_pca": Method("clustering", frozenset({"q"}), lambda X, a: cluster.screened_pca(X, a.screen(X))),
     "signed_sparse_agg": Method(
         "clustering",
         frozenset({"N"}),
@@ -261,11 +262,7 @@ METHODS = {
         frozenset({"N"}),
         lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected),
     ),
-    "recover_if_q": Method(
-        "recovery",
-        frozenset({"q"}),
-        lambda X, a: recover.RecoveryResult(support=spectral.select_features(a.once(spectral.chi2_scores, X), a.q)),
-    ),
+    "recover_if_q": Method("recovery", frozenset({"q"}), lambda X, a: recover.RecoveryResult(support=a.screen(X))),
     "recover_signed_pca": Method(
         "recovery",
         frozenset(),
@@ -458,8 +455,8 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Inverse of to_dict and canonical_json: theta and sign_mix_a are read as floats,
-        grid entries as given but "inf", "-inf" and "nan" as floats. Bad input raises ValueError."""
-        grid = lambda v: [float(x) if x in ("inf", "-inf", "nan") else x for x in v] if isinstance(v, list) else v
+        grid entries as given or as spelled by _spell_nonfinite. Bad input raises ValueError."""
+        grid = lambda v: list(map(_read_nonfinite, v)) if isinstance(v, list) else v
         return _from_json(cls, d, theta=_float_if_real, sign_mix_a=_float_if_real, betas=grid, strengths=grid)
 
     @property
@@ -527,15 +524,16 @@ def _aggregate_cell(records: list[TrialRecord]) -> dict:
     return out
 
 
-def _classify_cell(sweep: SweepSpec, beta: float, params: ArwParams) -> dict:
-    regions = {}
-    if params.alpha is not None and not math.isinf(params.alpha):
+def _classify_cell(sweep: SweepSpec, cell: dict) -> dict:
+    """The regions of a cell with its alpha (None for r cells and the null cell) and r set."""
+    regions, beta = {}, cell["beta"]
+    if cell["alpha"] is not None:
         for problem in PROBLEMS:
             for kind in BOUND_KINDS:
                 ref = boundary(PhaseQuery(problem, kind, sweep.variant, sweep.theta, beta)).alpha_boundary
-                regions[f"{problem}:{kind}"] = region(ref - params.alpha)
-    elif params.r is not None and 0.5 < beta < 1 - sweep.theta / 2:
-        regions["ifpca_cosine"] = region(params.r - rho_star_theta(sweep.theta, beta))
+                regions[f"{problem}:{kind}"] = region(ref - cell["alpha"])
+    elif cell["r"] is not None and _in_ifpca_range(sweep.theta, beta):
+        regions["ifpca_cosine"] = region(cell["r"] - rho_star_theta(sweep.theta, beta))
     return regions
 
 
@@ -569,8 +567,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
             "r": params.r,
             "n": params.n,
             "expected_signals": params.expected_signals,
-            "regions": _classify_cell(sweep, beta, params),
         }
+        cell["regions"] = _classify_cell(sweep, cell)
         seeds = (trial_seed(sweep.master_seed, cell_index, rep) for rep in range(sweep.reps))
         specs += [TrialSpec(params=params, methods=sweep.methods, seed=seed) for seed in seeds]
     # Every trial finishes before any cell aggregates: aggregating on this thread
@@ -590,15 +588,6 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
             "blas_pinned": _openblas() is not None,
         },
     }
-
-
-def _spell_nonfinite(value):
-    """value with each non-finite float replaced by its str(): "inf", "-inf" or "nan"."""
-    if isinstance(value, dict):
-        return {k: _spell_nonfinite(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_spell_nonfinite(v) for v in value]
-    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def canonical_json(payload: dict, drop_meta: bool = False) -> str:

@@ -117,7 +117,7 @@ def _hc_max(ps: np.ndarray, p: int) -> float:
     """hc_statistic given ps, the p // 2 smallest of p P-values, sorted."""
     i = np.arange(1, ps.size + 1)
     ps = np.where(ps == 0.0, np.nextafter(0.0, 1.0), ps)
-    ok = (ps > 0.0) & (ps < 1.0)
+    ok = ps < 1.0
     if not ok.any():
         return -math.inf
     vals = math.sqrt(p) * (i[ok] / p - ps[ok]) / np.sqrt(ps[ok] * (1.0 - ps[ok]))

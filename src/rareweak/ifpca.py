@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import kmeans_1d_two
+from .cluster import kmeans_1d_two, screened_pca
 from .harness import _one_blas_thread
 from .numerics import bh_threshold, chisq_sf_vec
-from .spectral import leading_left_singular, select_features
+from .spectral import select_features
 
 __all__ = [
     "LabeledMatrix",
@@ -168,7 +168,7 @@ def ifpca_pipeline(
     statistic), ``top_k`` (exact selected-feature count, largest scores
     first), or ``sweep`` (nonempty list of q values, one report row
     each). An empty selection falls back to using every feature, flagged
-    on the row.
+    on the row (``cluster.screened_pca``, as in ``if_pca``).
 
     The ``q`` and ``sweep`` modes keep the columns whose score is >= the
     cut sqrt(2 q log p), through ``spectral.select_features``, and need
@@ -204,10 +204,9 @@ def ifpca_pipeline(
         cuts = [(float(qv), select_features(scores, qv)) for qv in ([q] if mode == "q" else sweep)]
     rows = []
     for row_q, sel in cuts:
-        fallback = sel.size == 0
-        xi = leading_left_singular(Xstar if fallback else Xstar[:, sel]).vector
-        errors = _errors_against_labels(kmeans_1d_two(xi), data.class_labels)
-        rows.append(PipelineRow(q=row_q, n_selected=int(sel.size), errors=errors, fallback=fallback))
+        res = screened_pca(Xstar, sel)
+        errors = _errors_against_labels(kmeans_1d_two(res.singular.vector), data.class_labels)
+        rows.append(PipelineRow(q=row_q, n_selected=int(sel.size), errors=errors, fallback=res.fallback_used))
     return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=list(norm.warnings))
 
 

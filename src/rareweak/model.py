@@ -66,6 +66,20 @@ def _float_if_real(value):
     return float(value) if _is_real(value) else value
 
 
+def _spell_nonfinite(value):
+    """value as strict JSON: each non-finite float, nested ones too, as its str() "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _spell_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_nonfinite(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _read_nonfinite(value, spellings=("inf", "-inf", "nan")):
+    """Inverse of _spell_nonfinite on one JSON value: each of ``spellings`` as its float, anything else as given."""
+    return float(value) if isinstance(value, str) and value in spellings else value
+
+
 def _from_json(cls, d, **convert):
     """cls(**d) from a parsed JSON object, with convert[name] applied to field name.
 
@@ -169,19 +183,15 @@ class ArwParams:
         return self.p * self.epsilon
 
     def to_dict(self) -> dict:
-        """The fields as JSON; ``alpha = inf`` is written as "inf"."""
-        d = asdict(self)
-        if self.alpha is not None and math.isinf(self.alpha):
-            d["alpha"] = "inf"
-        return d
+        """The fields; JSON writers spell ``alpha = inf`` "inf" (see _spell_nonfinite)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArwParams":
         """Inverse of to_dict: real numbers are read as floats, and "inf" is the one string alpha takes."""
         real = _float_if_real
-        return _from_json(
-            cls, d, theta=real, beta=real, r=real, sign_mix_a=real, alpha=lambda v: math.inf if v == "inf" else real(v)
-        )
+        alpha = lambda v: real(_read_nonfinite(v, ("inf",)))
+        return _from_json(cls, d, theta=real, beta=real, r=real, sign_mix_a=real, alpha=alpha)
 
 
 def _matrix_digest(m: np.ndarray) -> dict:

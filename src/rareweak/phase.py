@@ -203,11 +203,16 @@ def rho_star(beta: float) -> float:
     return (1.0 - math.sqrt(1.0 - beta)) ** 2
 
 
+def _in_ifpca_range(theta: float, beta: float) -> bool:
+    """Whether beta lies in IF-PCA's range 1/2 < beta < 1 - theta/2."""
+    return 0.5 < beta < 1.0 - theta / 2
+
+
 def rho_star_theta(theta: float, beta: float) -> float:
     """Screen-then-PCA phase function: rescaled rho_star on 1/2 < beta < 1 - theta/2."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if not 0.5 < beta < 1.0 - theta / 2:
+    if not _in_ifpca_range(theta, beta):
         raise ValueError(f"beta must lie in (1/2, 1 - theta/2), got {beta!r}")
     return (1.0 - theta) * rho_star(0.5 + (beta - 0.5) / (1.0 - theta))
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from rareweak.cli import main
+from rareweak.harness import TrialSpec
 from rareweak.ifpca import ifpca_pipeline, load_labeled_csv
+from rareweak.model import ArwParams
 
 
 def run_cli(args, capsys):
@@ -178,6 +180,19 @@ class TestSimulateCommand:
         code, out, _ = run_cli(["simulate", "--spec", str(path)], capsys)
         assert code == 3
         assert "error" in json.loads(out)["clustering"]["sparse_agg_exact"]
+
+    def test_null_cell_spec_round_trip(self, tmp_path, capsys):
+        # the record hashes the spec as written: alpha = inf is "inf" in the JSON and in the hash
+        spec = TrialSpec(ArwParams(p=2000, theta=0.5, beta=0.4, alpha=math.inf), {"simple_agg": {}}, seed=3)
+        assert spec.spec_hash() == "656a39109a2fd89f"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        code, out, _ = run_cli(["simulate", "--spec", str(path)], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert '"alpha": "inf"' in out and record["spec"]["params"]["alpha"] == "inf"
+        assert record["spec_hash"] == "656a39109a2fd89f"
+        assert TrialSpec.from_dict(record["spec"]) == spec
 
     def test_method_presets(self, capsys):
         code, out, _ = run_cli(

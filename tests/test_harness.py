@@ -29,6 +29,7 @@ from rareweak.harness import (
 )
 from rareweak.model import ArwParams, NoiseSpec, diagonal_coloring
 from rareweak.phase import rho_star_theta
+from rareweak.spectral import q_star
 
 
 def small_spec(seed=0, **params_kw):
@@ -349,6 +350,32 @@ def test_signed_rule_charges_evaluated_pairs(budget, greedy, monkeypatch):
     args = MethodArgs({"N": 5}, ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2), seed=0)
     assert args.greedy(signed=True) is greedy
     assert args.greedy() is False
+
+
+# theta = 1/2: IF-PCA's range is 1/2 < beta < 3/4, open at both ends
+IFPCA_RANGE_EDGES = [(0.5, False), (math.nextafter(0.5, 1), True), (math.nextafter(0.75, 0), True), (0.75, False)]
+
+
+@pytest.mark.parametrize("beta, inside", IFPCA_RANGE_EDGES)
+def test_ifpca_range_sets_default_q_and_region(beta, inside):
+    # the default q and the ifpca_cosine region switch on together, at the range's ends
+    params = ArwParams(p=400, theta=0.5, beta=beta, r=0.3)
+    assert MethodArgs({}, params, 0).q == (q_star(0.5, beta, 0.3) if inside else 3.0)
+    sweep = SweepSpec(p=400, theta=0.5, betas=(beta,), strength_kind="r", strengths=(0.3,), reps=1)
+    (cell,) = run_sweep(sweep)["cells"]
+    assert ("ifpca_cosine" in cell["regions"]) is inside
+    if not inside:
+        with pytest.raises(ValueError, match="beta must lie in"):
+            rho_star_theta(0.5, beta)
+
+
+@pytest.mark.parametrize("beta", [0.6, 0.75])
+def test_alpha_cell_has_no_ifpca_range(beta):
+    # an alpha cell takes q = 3 and the six alpha regions, inside IF-PCA's range or not
+    assert MethodArgs({}, ArwParams(p=400, theta=0.5, beta=beta, alpha=0.2), 0).q == 3.0
+    sweep = SweepSpec(p=400, theta=0.5, betas=(beta,), strength_kind="alpha", strengths=(0.2,), reps=1)
+    (cell,) = run_sweep(sweep)["cells"]
+    assert len(cell["regions"]) == 6 and "ifpca_cosine" not in cell["regions"]
 
 
 def test_every_option_type_has_a_method():

@@ -246,8 +246,8 @@ class TestBlasPin:
 
     def test_pipeline_one_thread_inside_restored_after(self, blas, monkeypatch):
         seen = []
-        real = ifpca.leading_left_singular
-        monkeypatch.setattr(ifpca, "leading_left_singular", lambda M: seen.append(blas()) or real(M))
+        real = ifpca.screened_pca
+        monkeypatch.setattr(ifpca, "screened_pca", lambda X, sel: seen.append(blas()) or real(X, sel))
         ifpca_pipeline(two_blob_data(), sweep=[0.2, 0.5])
         assert seen == [1, 1] and blas() == 2
 
@@ -264,19 +264,19 @@ class TestBlasPin:
         both_inside = threading.Barrier(2, timeout=60)
         trial_done = threading.Event()
         seen, failures = {}, []
-        real_svd, real_pca = ifpca.leading_left_singular, cluster.classical_pca
+        real_row, real_pca = ifpca.screened_pca, cluster.classical_pca
 
-        def pipeline_spy(M):
+        def pipeline_spy(X, sel):
             both_inside.wait()
             assert trial_done.wait(60)
             seen["pipeline"] = blas()
-            return real_svd(M)
+            return real_row(X, sel)
 
         def trial_spy(X):
             both_inside.wait()
             return real_pca(X)
 
-        monkeypatch.setattr(ifpca, "leading_left_singular", pipeline_spy)
+        monkeypatch.setattr(ifpca, "screened_pca", pipeline_spy)
         monkeypatch.setattr(cluster, "classical_pca", trial_spy)
 
         def pipeline():

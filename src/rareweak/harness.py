@@ -590,10 +590,9 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     }
 
 
-def canonical_json(payload: dict, drop_meta: bool = False) -> str:
+def canonical_json(payload: dict) -> str:
     """payload as strict JSON (see _spell_nonfinite), with sorted keys and indent 1."""
-    body = {k: v for k, v in payload.items() if not (drop_meta and k == "meta")}
-    return json.dumps(_spell_nonfinite(body), sort_keys=True, indent=1, allow_nan=False)
+    return json.dumps(_spell_nonfinite(payload), sort_keys=True, indent=1, allow_nan=False)
 
 
 def sweep_csv_rows(result: dict) -> list[dict]:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import _require_finite, sparse_aggregation_exact
-from .numerics import chisq_sf_vec
-from .spectral import chi2_scores
+from .spectral import _score_tail, _standardize, chi2_scores
 
 __all__ = [
     "TestOutcome",
@@ -60,8 +59,7 @@ def simple_agg_test(X: np.ndarray) -> TestOutcome:
     n, p = X.shape
     xbar = X.mean(axis=1)
     _require_finite(xbar)
-    stat = (p * float(xbar @ xbar) - n) / math.sqrt(2 * n)
-    return TestOutcome(stat, 2.0 * math.sqrt(2 * math.log(p)))
+    return TestOutcome(_standardize(p * float(xbar @ xbar), n), 2.0 * math.sqrt(2 * math.log(p)))
 
 
 def sparse_agg_test(X: np.ndarray, N: int) -> TestOutcome:
@@ -92,11 +90,7 @@ def column_pvalues(X: np.ndarray) -> np.ndarray:
     """
     Q = chi2_scores(X)
     _require_finite(Q)
-    return _score_pvalues(Q, X.shape[0])
-
-
-def _score_pvalues(Q: np.ndarray, n: int) -> np.ndarray:
-    return chisq_sf_vec(np.maximum(n + math.sqrt(2 * n) * Q, 0.0), n)
+    return _score_tail(Q, X.shape[0])
 
 
 def hc_statistic(pvalues: np.ndarray) -> float:
@@ -141,5 +135,5 @@ def higher_criticism_outcome(scores: np.ndarray, n: int) -> TestOutcome:
         raise ValueError("need p >= 8 so that log log p is positive")
     _require_finite(scores)
     top = np.partition(scores, p - p // 2)[p - p // 2 :]
-    stat = _hc_max(np.sort(_score_pvalues(top, n)), p)
+    stat = _hc_max(np.sort(_score_tail(top, n)), p)
     return TestOutcome(stat, 2.0 * math.sqrt(2 * math.log(math.log(p))))

@@ -18,7 +18,6 @@ or swept over a list of q values for a table of error counts.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -27,8 +26,8 @@ import numpy as np
 
 from .cluster import kmeans_1d_two, screened_pca
 from .harness import _one_blas_thread
-from .numerics import bh_threshold, chisq_sf_vec
-from .spectral import select_features
+from .numerics import bh_threshold
+from .spectral import _score_tail, _standardize, _threshold_q, select_features
 
 __all__ = [
     "LabeledMatrix",
@@ -118,9 +117,7 @@ def two_sided_scores(Xstar: np.ndarray) -> np.ndarray:
     score has mean 0 and variance 1, and on nonnegative scores this is the
     one-sided chi-square screen.
     """
-    n = Xstar.shape[0]
-    diff = np.sum(Xstar * Xstar, axis=0) - n
-    return np.abs(diff) / math.sqrt(2 * n)
+    return np.abs(_standardize(np.sum(Xstar * Xstar, axis=0), Xstar.shape[0]))
 
 
 @dataclass
@@ -147,10 +144,7 @@ def _errors_against_labels(pred: np.ndarray, class_labels: np.ndarray) -> int:
 
 
 def _null_two_sided_pvalues(scores: np.ndarray, n: int) -> np.ndarray:
-    diff = scores * math.sqrt(2 * n)
-    upper = chisq_sf_vec(n + diff, n)
-    lower = 1.0 - chisq_sf_vec(np.maximum(n - diff, 0.0), n)
-    return np.minimum(upper + lower, 1.0)
+    return np.minimum(_score_tail(scores, n) + (1.0 - _score_tail(-scores, n)), 1.0)
 
 
 @_one_blas_thread()
@@ -195,8 +189,7 @@ def ifpca_pipeline(
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, {p}]")
         order = np.argsort(-scores, kind="stable")
-        implied_q = float(scores[order[top_k - 1]] ** 2 / (2 * math.log(p)))
-        cuts = [(implied_q, np.sort(order[:top_k]))]
+        cuts = [(float(_threshold_q(scores[order[top_k - 1]], p)), np.sort(order[:top_k]))]
     elif mode == "fdr":
         pv = _null_two_sided_pvalues(scores, n)
         cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ArwParams, _sample_size
-from .numerics import chisq_sf, noncentral_chisq_sf
+from .numerics import chisq_sf, chisq_sf_vec, noncentral_chisq_sf
 
 __all__ = [
     "SingularPair",
@@ -64,14 +64,28 @@ def chi2_scores(X: np.ndarray) -> np.ndarray:
     ``np.sum(X * X, axis=0)``, and gives the same bits; on other layouts
     the two may differ in the last place.
     """
-    n = X.shape[0]
-    return (np.einsum("ij,ij->j", X, X) - n) / math.sqrt(2 * n)
+    return _standardize(np.einsum("ij,ij->j", X, X), X.shape[0])
+
+
+def _standardize(sq_norms, n: int):
+    """Q = (S - n) / sqrt(2n) of squared norms S (a scalar or an array) over n coordinates."""
+    return (sq_norms - n) / math.sqrt(2 * n)
+
+
+def _score_tail(Q: np.ndarray, n: int) -> np.ndarray:
+    """P(chi2_n >= n + sqrt(2n) Q), the inverse of _standardize clipped at the support's 0."""
+    return chisq_sf_vec(np.maximum(n + math.sqrt(2 * n) * Q, 0.0), n)
 
 
 def screen_threshold(p: int, q: float) -> float:
     if not q > 0:
         raise ValueError("q must be positive")
     return math.sqrt(2 * q * math.log(p))
+
+
+def _threshold_q(t, p: int):
+    """The q whose screen_threshold(p, q) is t."""
+    return t**2 / (2 * math.log(p))
 
 
 def select_features(scores: np.ndarray, q: float) -> np.ndarray:
@@ -137,19 +151,17 @@ _BAND_CONSTANT = 3.0  # half-width of the predicted noise band, in units of sqrt
 def _prediction(n: int, p: int, q: float, s: float, lam: float, qt: float) -> SpectralPrediction:
     """Screen predictions for n samples and p columns, s of them signal with noncentrality lam.
 
-    The screen keeps a column whose squared norm clears n + 2 sqrt(q n log p).
+    The screen keeps a column whose squared norm clears
+    n + sqrt(2n) screen_threshold(p, q), the cut select_features applies.
     With s = 0 there are no signal columns and pi1 is 0.
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
-    logp = math.log(p)
-    cut = n + 2 * math.sqrt(q * n * logp)
+    cut = n + math.sqrt(2 * n) * screen_threshold(p, q)
     pi0 = chisq_sf(cut, n)
     pi1 = noncentral_chisq_sf(cut, n, lam) if s else 0.0
     m_q = (p - s) * pi0 + s * pi1
     regime = "fat" if q < qt else "skinny"
     center = m_q if regime == "fat" else float(n)
-    half = _BAND_CONSTANT * math.sqrt(n * m_q * logp)
+    half = _BAND_CONSTANT * math.sqrt(n * m_q * math.log(p))
     band = (center - half, center + half)
     return SpectralPrediction(pi0=pi0, pi1=pi1, m_q=m_q, q_tilde=qt, regime=regime, eigen_range=band)
 

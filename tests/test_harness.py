@@ -427,6 +427,11 @@ class TestSeedDerivation:
         assert before == after
 
 
+def sweep_json(result: dict) -> str:
+    """canonical_json of a run_sweep result without its meta block (wall time, timestamp)."""
+    return canonical_json({k: v for k, v in result.items() if k != "meta"})
+
+
 def tiny_sweep(**kw):
     base = dict(
         p=300,
@@ -518,15 +523,15 @@ class TestRunSweep:
         assert cell["regions"]["hypothesis_testing:ctub"] in ("possible", "impossible", "on_boundary")
 
     def test_deterministic_json_modulo_meta(self):
-        a = canonical_json(run_sweep(tiny_sweep()), drop_meta=True)
-        b = canonical_json(run_sweep(tiny_sweep()), drop_meta=True)
+        a = sweep_json(run_sweep(tiny_sweep()))
+        b = sweep_json(run_sweep(tiny_sweep()))
         assert a == b
 
     @pytest.mark.parametrize("case", SWEEP_CASES)
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_equals_serial(self, case, workers):
-        serial = canonical_json(run_sweep(tiny_sweep(**SWEEP_CASES[case])), drop_meta=True)
-        parallel = canonical_json(run_sweep(tiny_sweep(**SWEEP_CASES[case]), workers=workers), drop_meta=True)
+        serial = sweep_json(run_sweep(tiny_sweep(**SWEEP_CASES[case])))
+        parallel = sweep_json(run_sweep(tiny_sweep(**SWEEP_CASES[case]), workers=workers))
         assert serial == parallel
 
     def test_one_cell_runs_its_reps_at_once(self, monkeypatch):
@@ -702,8 +707,8 @@ class TestBlasPin:
     def test_wide_sweep_parallel_equals_serial(self):
         sweep = SweepSpec(**WIDE, methods=WIDE_METHODS, master_seed=8)
         assert sweep.cell_params(0.6, 0.35).n == 110
-        serial = canonical_json(run_sweep(sweep), drop_meta=True)
-        parallel = canonical_json(run_sweep(sweep, workers=2), drop_meta=True)
+        serial = sweep_json(run_sweep(sweep))
+        parallel = sweep_json(run_sweep(sweep, workers=2))
         assert serial == parallel
 
     def test_wide_sweep_equals_one_thread_process(self):
@@ -711,7 +716,8 @@ class TestBlasPin:
         script = (
             "import json, sys\n"
             "from rareweak.harness import SweepSpec, canonical_json, run_sweep\n"
-            "sys.stdout.write(canonical_json(run_sweep(SweepSpec.from_dict(json.loads(sys.argv[1]))), drop_meta=True))\n"
+            "result = run_sweep(SweepSpec.from_dict(json.loads(sys.argv[1])))\n"
+            "sys.stdout.write(canonical_json({k: v for k, v in result.items() if k != 'meta'}))\n"
         )
         src = str(Path(harness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -719,7 +725,7 @@ class TestBlasPin:
         child = subprocess.run(
             [sys.executable, "-c", script, json.dumps(sweep.to_dict())], env=env, capture_output=True, text=True, check=True
         )
-        assert child.stdout == canonical_json(run_sweep(sweep), drop_meta=True)
+        assert child.stdout == sweep_json(run_sweep(sweep))
 
     def test_one_thread_inside_restored_after(self, blas, monkeypatch):
         seen = []

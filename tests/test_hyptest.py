@@ -46,6 +46,12 @@ class TestSimpleAggTest:
         b = ht.simple_agg_test(Y)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
 
+    def test_statistic_matches_the_inline_formula(self):
+        for seed, (n, p) in enumerate([(20, 30), (50, 400), (7, 1000)]):
+            X = np.random.default_rng(89 + seed).standard_normal((n, p)) + 0.1
+            xbar = X.mean(axis=1)
+            assert ht.simple_agg_test(X).statistic == (p * float(xbar @ xbar) - n) / math.sqrt(2 * n)
+
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(88)
         X = rng.standard_normal((25, 40))

@@ -11,6 +11,7 @@ from rareweak.ifpca import (
     LabeledMatrix,
     PipelineRow,
     _errors_against_labels,
+    _null_two_sided_pvalues,
     _two_means,
     baseline_kmeans,
     ifpca_pipeline,
@@ -19,6 +20,7 @@ from rareweak.ifpca import (
     two_sided_scores,
 )
 from rareweak.model import ArwParams, gen_dataset
+from rareweak.numerics import chisq_sf_vec
 from rareweak.spectral import chi2_scores
 
 
@@ -81,6 +83,20 @@ class TestTwoSidedScreen:
         pos = one_sided >= 0
         np.testing.assert_allclose(two_sided[pos], one_sided[pos], rtol=1e-12)
         np.testing.assert_allclose(two_sided[~pos], -one_sided[~pos], rtol=1e-12)
+
+    def test_scores_match_the_inline_formula(self):
+        X = mad_normalize(np.random.default_rng(101).standard_normal((40, 300))).X
+        n = X.shape[0]
+        want = np.abs(np.sum(X * X, axis=0) - n) / math.sqrt(2 * n)
+        np.testing.assert_array_equal(two_sided_scores(X), want)
+
+    def test_null_pvalues_match_the_inline_formula(self):
+        n = 40  # sqrt(2n) s exceeds n once s > sqrt(n / 2) = 4.47, and the lower quantile is clipped at 0
+        scores = np.concatenate([[0.0, 4.4, 4.5, 10.0, 1e6, 1e300], np.random.default_rng(102).exponential(3.0, 200)])
+        diff = scores * math.sqrt(2 * n)
+        upper = chisq_sf_vec(n + diff, n)
+        lower = 1.0 - chisq_sf_vec(np.maximum(n - diff, 0.0), n)
+        np.testing.assert_array_equal(_null_two_sided_pvalues(scores, n), np.minimum(upper + lower, 1.0))
 
 
 class TestPipeline:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -209,6 +210,15 @@ class TestPredictSelection:
         n = params.n
         cut = n + 2 * math.sqrt(0.5 * n * math.log(params.p))
         assert pred.pi1 == pytest.approx(noncentral_chisq_sf(cut, n, n * params.tau**2), rel=1e-10)
+
+    def test_predictions_use_the_screen_cut(self):
+        # select_features keeps a squared norm S when (S - n) / sqrt(2n) >= screen_threshold(p, q)
+        for p, theta, q in itertools.product((100, 1000, 10_000), (0.3, 0.4, 0.5, 0.6), (0.1, 0.5, 1.0, 2.0)):
+            params = ArwParams(p=p, theta=theta, beta=0.6, r=0.3)
+            n = params.n
+            cut = n + math.sqrt(2 * n) * screen_threshold(p, q)
+            assert predict_null_selection(p, theta, q).pi0 == chisq_sf(cut, n), (p, theta, q)
+            assert predict_selection(params, q).pi1 == noncentral_chisq_sf(cut, n, n * params.tau**2), (p, theta, q)
 
     def test_regime_flag(self):
         params = ArwParams(p=10_000, theta=0.5, beta=0.6, r=0.3)

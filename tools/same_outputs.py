@@ -14,7 +14,10 @@ on the same inputs, written once to a temporary directory:
 * ``simulate`` on a null-cell, a colored, a signed and a non-finite ``q``
   spec file, and on flags;
 * ``ifpca-run --baseline-kmeans`` in all four modes, on a matrix with a
-  zero-MAD column, where the last ``--sweep`` row has an empty screen;
+  zero-MAD column and a uniform column (its MAD-scaled squared norm is
+  near 0.6 n, so its ``--fdr`` P-value is mostly lower tail), where the
+  last ``--sweep`` row has an empty screen; ``--fdr`` runs at 0.1 and at
+  0.3, where the step-up count is 21, and 45 without the lower-tail term;
 * ``spec_hash`` of a white, a signed, a null-cell, a non-finite ``q``
   and a colored spec.
 
@@ -97,13 +100,15 @@ def _trial_specs() -> dict:
 
 
 def _labeled_csv(path: Path) -> None:
-    """A 40 x 200 matrix and a label column: 8 columns shift with the class, one column has zero MAD."""
+    """A 40 x 201 matrix and a label column: 8 columns shift with the class, one column has zero MAD
+    and the last is uniform on [0, 1)."""
     rng = random.Random(7)
-    rows = ["group," + ",".join(f"f{j}" for j in range(200))]
+    rows = ["group," + ",".join(f"f{j}" for j in range(201))]
     for i in range(40):
         label = "a" if i % 2 else "b"
         cells = [rng.gauss(0.0, 1.0) + ((1.0 if label == "a" else -1.0) if j < 8 else 0.0) for j in range(200)]
         cells[199] = 1.0 if i else 2.0
+        cells.append(rng.random())
         rows.append(label + "," + ",".join(repr(x) for x in cells))
     path.write_text("\n".join(rows) + "\n")
 
@@ -121,8 +126,8 @@ def _runs(work: Path) -> dict:
     runs["simulate flags"] = ["simulate", "--p", "300", "--beta", "0.6", "--r", "0.2", "--seed", "9",
                               "--methods", ",".join(METHODS)]
     data = ["--data", str(work / "data.csv"), "--label-column", "group", "--baseline-kmeans"]
-    for mode in (["--q", "0.3"], ["--fdr", "0.1"], ["--top-k", "12"], ["--sweep", "0.1:8.1:2"]):
-        runs[f"ifpca-run {mode[0]}"] = ["ifpca-run", *data, *mode]
+    for mode in (["--q", "0.3"], ["--fdr", "0.1"], ["--fdr", "0.3"], ["--top-k", "12"], ["--sweep", "0.1:8.1:2"]):
+        runs[f"ifpca-run {' '.join(mode)}"] = ["ifpca-run", *data, *mode]
     return runs
 
 

@@ -166,118 +166,118 @@ class TrialRecord:
         )
 
 
-@dataclass(frozen=True)
-class MethodArgs:
-    """What a method-table entry reads: its spec options, the calibration,
-    the seed and the trial's memo. A missing or None option takes its default."""
+@dataclass(eq=False)
+class TrialStats:
+    """One trial's X, calibration and seed, and the results that several
+    method-table entries read: each is a named member, computed on first use
+    through its module attribute (so a patched function is the one that runs).
+    Only results are kept: a call that raises raises again for every method
+    that reads it. A method's missing or None option takes its default."""
 
-    opts: dict
+    X: np.ndarray
     params: ArwParams
     seed: int
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def once(self, fn: Callable, X: np.ndarray, *args, **kwargs):
-        """fn(X, *args, **kwargs), computed once per trial.
-
-        The memo belongs to one trial, so X is always that trial's data and
-        the key is fn with the other arguments. Entries pass fn as read off
-        its module at call time, so a patched function is the one that runs
-        and is keyed. Only results are kept: a call that raises raises again
-        for every method that asks for it.
-        """
-        key = (fn, args, tuple(sorted(kwargs.items())))
-        if key not in self.memo:
-            self.memo[key] = fn(X, *args, **kwargs)
-        return self.memo[key]
-
-    def _get(self, key: str, default):
-        value = self.opts.get(key)
-        return default if value is None else value
+    _row_sums: cluster.ClusterResult | None = None
+    _pca: cluster.ClusterResult | None = None
+    _scores: np.ndarray | None = None
+    _searches: dict = field(default_factory=dict)
 
     @property
-    def N(self) -> int:
-        return int(self._get("N", cluster.default_sparsity(self.params.expected_signals)))
+    def simple_aggregation(self) -> cluster.ClusterResult:
+        """The row-sum labels: simple_agg and recover_sa_star."""
+        if self._row_sums is None:
+            self._row_sums = cluster.simple_aggregation(self.X)
+        return self._row_sums
 
     @property
-    def q(self) -> float:
-        pr = self.params
-        if self.opts.get("q") is None and pr.r is not None and _in_ifpca_range(pr.theta, pr.beta):
+    def classical_pca(self) -> cluster.ClusterResult:
+        """Classical PCA: classical_pca, recover_if_star and recover_signed_pca."""
+        if self._pca is None:
+            self._pca = cluster.classical_pca(self.X)
+        return self._pca
+
+    @property
+    def chi2_scores(self) -> np.ndarray:
+        """The chi-square column scores: if_pca, recover_if_q and higher_criticism."""
+        if self._scores is None:
+            self._scores = spectral.chi2_scores(self.X)
+        return self._scores
+
+    def unsigned_search(self, opts: dict, greedy: bool | None = None) -> cluster.ClusterResult:
+        """The unsigned search at the options' N, kept per (N, solver); greedy None picks the solver
+        by the enumeration budget. sparse_agg_exact, sparse_agg_greedy, sparse_agg_l1, recover_sa_n."""
+        N = self.N(opts)
+        greedy = self.greedy(opts) if greedy is None else greedy
+        if (N, greedy) not in self._searches:
+            if greedy:
+                self._searches[N, greedy] = cluster.sparse_aggregation_greedy(self.X, N, seed=self.seed)
+            else:
+                self._searches[N, greedy] = cluster.sparse_aggregation_exact(self.X, N)
+        return self._searches[N, greedy]
+
+    def N(self, opts: dict) -> int:
+        N = opts.get("N")
+        return int(cluster.default_sparsity(self.params.expected_signals) if N is None else N)
+
+    def q(self, opts: dict) -> float:
+        pr, q = self.params, opts.get("q")
+        if q is None and pr.r is not None and _in_ifpca_range(pr.theta, pr.beta):
             return spectral.q_star(pr.theta, pr.beta, pr.r)
-        return float(self._get("q", 3.0))
+        return float(3.0 if q is None else q)
 
-    def greedy(self, signed: bool = False) -> bool:
+    def greedy(self, opts: dict, signed: bool = False) -> bool:
         """Whether the N-column aggregation searches run greedy: see cluster._over_budget."""
-        return cluster._over_budget(self.params.p, self.N, signed)
+        return cluster._over_budget(self.params.p, self.N(opts), signed)
 
-    def screen(self, X: np.ndarray) -> np.ndarray:
-        """The trial's chi-square screen at q: the columns that if_pca and recover_if_q keep."""
-        return spectral.select_features(self.once(spectral.chi2_scores, X), self.q)
+    def screen(self, opts: dict) -> np.ndarray:
+        """The chi-square screen at the options' q: the columns that if_pca and recover_if_q keep."""
+        return spectral.select_features(self.chi2_scores, self.q(opts))
 
 
 @dataclass(frozen=True)
 class Method:
-    """One row of the method table. ``run(X, args)`` returns a ClusterResult,
-    RecoveryResult or TestOutcome; ``group`` names the record field it lands in."""
+    """One row of the method table. ``run(stats, opts)`` reads the trial's TrialStats and
+    the method's options; it returns a ClusterResult, RecoveryResult or TestOutcome, and
+    ``group`` names the record field it lands in."""
 
     group: str
     options: frozenset
     run: Callable
 
 
-def _unsigned_search(X: np.ndarray, a: MethodArgs, greedy: bool) -> cluster.ClusterResult:
-    """The trial's one unsigned N-column search with this solver and N."""
-    if greedy:
-        return a.once(cluster.sparse_aggregation_greedy, X, a.N, seed=a.seed)
-    return a.once(cluster.sparse_aggregation_exact, X, a.N)
-
-
-# Entries call the library through its module attributes, so a function
-# patched on its module (by a tracer, say) is the one that runs. Results
-# that several methods read (the unsigned search, classical PCA, the
-# row-sum labels, the chi-square column scores) go through MethodArgs.once
-# and are computed once per trial.
+# Entries call the library through its module attributes, as TrialStats does.
 METHODS = {
-    "simple_agg": Method("clustering", frozenset(), lambda X, a: a.once(cluster.simple_aggregation, X)),
-    "sparse_agg_exact": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=False)),
-    "sparse_agg_greedy": Method("clustering", frozenset({"N"}), lambda X, a: _unsigned_search(X, a, greedy=True)),
-    "classical_pca": Method("clustering", frozenset(), lambda X, a: a.once(cluster.classical_pca, X)),
-    "if_pca": Method("clustering", frozenset({"q"}), lambda X, a: cluster.screened_pca(X, a.screen(X))),
+    "simple_agg": Method("clustering", frozenset(), lambda s, o: s.simple_aggregation),
+    "sparse_agg_exact": Method("clustering", frozenset({"N"}), lambda s, o: s.unsigned_search(o, greedy=False)),
+    "sparse_agg_greedy": Method("clustering", frozenset({"N"}), lambda s, o: s.unsigned_search(o, greedy=True)),
+    "classical_pca": Method("clustering", frozenset(), lambda s, o: s.classical_pca),
+    "if_pca": Method("clustering", frozenset({"q"}), lambda s, o: cluster.screened_pca(s.X, s.screen(o))),
     "signed_sparse_agg": Method(
         "clustering",
         frozenset({"N"}),
-        lambda X, a: cluster.signed_sparse_aggregation(X, a.N, greedy=a.greedy(signed=True), seed=a.seed),
+        lambda s, o: cluster.signed_sparse_aggregation(s.X, s.N(o), greedy=s.greedy(o, signed=True), seed=s.seed),
     ),
     "recover_sa_star": Method(
-        "recovery",
-        frozenset(),
-        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.simple_aggregation, X).labels),
+        "recovery", frozenset(), lambda s, o: recover.threshold_weighted_means(s.X, s.simple_aggregation.labels)
     ),
     "recover_if_star": Method(
-        "recovery",
-        frozenset(),
-        lambda X, a: recover.threshold_weighted_means(X, a.once(cluster.classical_pca, X).labels),
+        "recovery", frozenset(), lambda s, o: recover.threshold_weighted_means(s.X, s.classical_pca.labels)
     ),
     "recover_sa_n": Method(
-        "recovery",
-        frozenset({"N"}),
-        lambda X, a: recover.RecoveryResult(support=_unsigned_search(X, a, a.greedy()).selected),
+        "recovery", frozenset({"N"}), lambda s, o: recover.RecoveryResult(support=s.unsigned_search(o).selected)
     ),
-    "recover_if_q": Method("recovery", frozenset({"q"}), lambda X, a: recover.RecoveryResult(support=a.screen(X))),
+    "recover_if_q": Method("recovery", frozenset({"q"}), lambda s, o: recover.RecoveryResult(support=s.screen(o))),
     "recover_signed_pca": Method(
-        "recovery",
-        frozenset(),
-        lambda X, a: recover.signed_weighted_means(X, a.once(cluster.classical_pca, X).labels),
+        "recovery", frozenset(), lambda s, o: recover.signed_weighted_means(s.X, s.classical_pca.labels)
     ),
-    "agg_chi2": Method("tests", frozenset(), lambda X, a: hyptest.simple_agg_test(X)),
+    "agg_chi2": Method("tests", frozenset(), lambda s, o: hyptest.simple_agg_test(s.X)),
     "sparse_agg_l1": Method(
         "tests",
         frozenset({"N"}),
-        lambda X, a: hyptest.sparse_agg_outcome(_unsigned_search(X, a, a.greedy()).objective, *X.shape, a.N),
+        lambda s, o: hyptest.sparse_agg_outcome(s.unsigned_search(o).objective, *s.X.shape, s.N(o)),
     ),
     "higher_criticism": Method(
-        "tests",
-        frozenset(),
-        lambda X, a: hyptest.higher_criticism_outcome(a.once(spectral.chi2_scores, X), X.shape[0]),
+        "tests", frozenset(), lambda s, o: hyptest.higher_criticism_outcome(s.chi2_scores, s.X.shape[0])
     ),
 }
 
@@ -372,20 +372,20 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate one dataset and run every requested method on it, with
     BLAS on one thread (see the module docstring).
 
-    Results that several methods share are computed once (see
-    MethodArgs.once). Per-method failures become {"error": message}
+    Every method reads one TrialStats, so a result that several methods
+    share is computed once. Per-method failures become {"error": message}
     entries; the other methods still run. The record's spec dict is built
     once, and spec_hash is its hash.
     """
     t0 = time.perf_counter()
     groups = {"clustering": {}, "recovery": {}, "tests": {}}
-    memo: dict = {}
     with _one_blas_thread():
         ds = gen_dataset(spec.params, spec.noise, spec.seed)
+        stats = TrialStats(ds.X, spec.params, spec.seed)
         for name, opts in spec.methods.items():
             method = METHODS[name]
             try:
-                entry = _entry(method.run(ds.X, MethodArgs(opts or {}, spec.params, spec.seed, memo)), ds, spec.params)
+                entry = _entry(method.run(stats, opts or {}), ds, spec.params)
             except ValueError as exc:  # cluster.EnumerationBudgetError included
                 entry = {"error": str(exc)}
             groups[method.group][name] = entry

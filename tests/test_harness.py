@@ -18,9 +18,9 @@ import pytest
 from rareweak import cluster, harness, model
 from rareweak.harness import (
     METHODS,
-    MethodArgs,
     SweepSpec,
     TrialSpec,
+    TrialStats,
     canonical_json,
     run_sweep,
     run_trial,
@@ -263,6 +263,35 @@ class TestRunTrial:
         screens = {"if_pca": {}, "recover_if_q": {}, "higher_criticism": {}}
         assert not run_trial(TrialSpec(params=spec.params, methods=screens, seed=2)).has_errors
         assert seen.count("chi2_scores") == 1
+        # the three methods that read classical PCA share one call
+        seen.clear()
+        pca = {"classical_pca": {}, "recover_if_star": {}, "recover_signed_pca": {}}
+        assert not run_trial(TrialSpec(params=spec.params, methods=pca, seed=2)).has_errors
+        assert seen.count("classical_pca") == 1
+        # and the two methods that read the row-sum labels share one call
+        seen.clear()
+        row_sums = {"simple_agg": {}, "recover_sa_star": {}}
+        assert not run_trial(TrialSpec(params=spec.params, methods=row_sums, seed=2)).has_errors
+        assert seen.count("simple_aggregation") == 1
+
+    def test_failed_shared_result_is_not_kept(self, monkeypatch):
+        # only results are kept: each reader of a call that raises calls it again and records
+        # the error, and the methods that do not read it still run
+        calls = []
+
+        def broken(X):
+            calls.append(X.shape)
+            raise ValueError("no PCA here")
+
+        monkeypatch.setattr(cluster, "classical_pca", broken)
+        readers = {"classical_pca": {}, "recover_if_star": {}, "recover_signed_pca": {}}
+        methods = readers | {"simple_agg": {}, "recover_sa_star": {}, "higher_criticism": {}}
+        rec = run_trial(TrialSpec(params=ArwParams(p=120, theta=0.5, beta=0.8, alpha=0.05), methods=methods, seed=2))
+        assert rec.clustering["classical_pca"] == {"error": "no PCA here"}
+        assert rec.recovery["recover_if_star"] == rec.recovery["recover_signed_pca"] == {"error": "no PCA here"}
+        assert len(calls) == 3
+        others = [rec.clustering["simple_agg"], rec.recovery["recover_sa_star"], rec.tests["higher_criticism"]]
+        assert all("error" not in entry for entry in others)
 
     def test_all_method_kinds_run(self):
         spec = TrialSpec(
@@ -343,13 +372,18 @@ def test_package_reexports_are_in_module_all():
             assert alias.asname is None and alias.name in module.__all__, f"{node.module}.{alias.name}"
 
 
+def stats_of(params: ArwParams) -> TrialStats:
+    """TrialStats on a zero X of the calibration's shape, seed 0: for the rules that read only params."""
+    return TrialStats(np.zeros((params.n, params.p)), params, 0)
+
+
 @pytest.mark.parametrize("budget, greedy", [(16, False), (15, True)])
 def test_signed_rule_charges_evaluated_pairs(budget, greedy, monkeypatch):
     # p = N = 5: the signed enumeration evaluates one support with 2^4 sign patterns
     monkeypatch.setattr(cluster, "DEFAULT_ENUM_BUDGET", budget)
-    args = MethodArgs({"N": 5}, ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2), seed=0)
-    assert args.greedy(signed=True) is greedy
-    assert args.greedy() is False
+    stats = stats_of(ArwParams(p=5, theta=0.5, beta=0.5, alpha=0.2))
+    assert stats.greedy({"N": 5}, signed=True) is greedy
+    assert stats.greedy({"N": 5}) is False
 
 
 # theta = 1/2: IF-PCA's range is 1/2 < beta < 3/4, open at both ends
@@ -360,7 +394,7 @@ IFPCA_RANGE_EDGES = [(0.5, False), (math.nextafter(0.5, 1), True), (math.nextaft
 def test_ifpca_range_sets_default_q_and_region(beta, inside):
     # the default q and the ifpca_cosine region switch on together, at the range's ends
     params = ArwParams(p=400, theta=0.5, beta=beta, r=0.3)
-    assert MethodArgs({}, params, 0).q == (q_star(0.5, beta, 0.3) if inside else 3.0)
+    assert stats_of(params).q({}) == (q_star(0.5, beta, 0.3) if inside else 3.0)
     sweep = SweepSpec(p=400, theta=0.5, betas=(beta,), strength_kind="r", strengths=(0.3,), reps=1)
     (cell,) = run_sweep(sweep)["cells"]
     assert ("ifpca_cosine" in cell["regions"]) is inside
@@ -372,7 +406,7 @@ def test_ifpca_range_sets_default_q_and_region(beta, inside):
 @pytest.mark.parametrize("beta", [0.6, 0.75])
 def test_alpha_cell_has_no_ifpca_range(beta):
     # an alpha cell takes q = 3 and the six alpha regions, inside IF-PCA's range or not
-    assert MethodArgs({}, ArwParams(p=400, theta=0.5, beta=beta, alpha=0.2), 0).q == 3.0
+    assert stats_of(ArwParams(p=400, theta=0.5, beta=beta, alpha=0.2)).q({}) == 3.0
     sweep = SweepSpec(p=400, theta=0.5, betas=(beta,), strength_kind="alpha", strengths=(0.2,), reps=1)
     (cell,) = run_sweep(sweep)["cells"]
     assert len(cell["regions"]) == 6 and "ifpca_cosine" not in cell["regions"]

@@ -7,7 +7,7 @@ import pytest
 import rareweak.hyptest as ht
 from rareweak import cluster
 from rareweak.cluster import sparse_aggregation_greedy
-from rareweak.harness import METHODS, MethodArgs
+from rareweak.harness import METHODS, TrialStats
 from rareweak.model import ArwParams, gen_dataset
 from rareweak.numerics import chisq_sf
 from rareweak.spectral import chi2_scores
@@ -95,7 +95,7 @@ class TestSparseAggTest:
 def sparse_agg_entry(X, N):
     """The sparse_agg_l1 method entry on X, seed 0, with this N."""
     params = ArwParams(p=X.shape[1], theta=0.5, beta=0.5, alpha=0.1)
-    return METHODS["sparse_agg_l1"].run(X, MethodArgs({"N": N}, params, 0))
+    return METHODS["sparse_agg_l1"].run(TrialStats(X, params, 0), {"N": N})
 
 
 def greedy_entry(X, N):
@@ -111,7 +111,7 @@ def greedy_entry(X, N):
         lambda X: ht.sparse_agg_test(X, N=2),
         lambda X: greedy_entry(X, N=3),
         ht.higher_criticism_test,
-        lambda X: METHODS["higher_criticism"].run(X, MethodArgs({}, ArwParams(p=20, theta=0.5, beta=0.5, alpha=0.1), 0)),
+        lambda X: METHODS["higher_criticism"].run(TrialStats(X, ArwParams(p=20, theta=0.5, beta=0.5, alpha=0.1), 0), {}),
         ht.column_pvalues,
     ],
     ids=["agg_chi2", "sparse_exact", "sparse_greedy", "higher_criticism", "higher_criticism_entry", "column_pvalues"],

@@ -11,6 +11,10 @@ on the same inputs, written once to a temporary directory:
   beta, the signed variant, an ``r`` grid with a cell at rho and cells at
   both ends of IF-PCA's beta range, and an ``alpha_ratio`` grid; the
   null-cell sweep also as CSV;
+* ``sweep`` and ``simulate`` with methods that carry options: unsigned
+  searches at N = 2 (exact at p = 300, over budget at p = 2100, where
+  ``sparse_agg_exact`` records its error), 4 and the default, and two
+  screens at different q beside HC on one score vector;
 * ``simulate`` on a null-cell, a colored, a signed and a non-finite ``q``
   spec file, and on flags;
 * ``ifpca-run --baseline-kmeans`` in all four modes, on a matrix with a
@@ -23,8 +27,9 @@ on the same inputs, written once to a temporary directory:
 
 The top-level ``meta`` and ``wall_time`` entries of JSON output are
 dropped, and the rest, with the exit code, is compared as bytes. One
-line per output; the exit status is 1 when any output differs. Only the
-standard library is used here; the trees need numpy.
+line per output, then each tree's ``rareweak/*.py`` line count; the
+exit status is 1 when any output differs. Only the standard library is
+used here; the trees need numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +63,18 @@ METHODS = {
     )
 }
 
+# options that make shared results differ by N, solver and q
+OPTIONS = {
+    "sparse_agg_exact": {"N": 2},
+    "recover_sa_n": {"N": 2},
+    "sparse_agg_greedy": {"N": 4},
+    "sparse_agg_l1": {},
+    "signed_sparse_agg": {"N": 2},
+    "if_pca": {"q": 1.0},
+    "recover_if_q": {"q": 2.5},
+    "higher_criticism": {},
+}
+
 # "inf" written as a token here; null.json spells it "inf"
 SWEEPS = {
     "alpha": '{"p": 32, "theta": 0.5, "betas": [0.3, 0.6, 1.2], "strength_kind": "alpha", '
@@ -70,6 +87,9 @@ SWEEPS = {
     "alpha_ratio": '{"p": 1000, "theta": 0.5, "betas": [0.55, 0.65], "strength_kind": "alpha_ratio", '
     '"strengths": [0.8, 1.2], "reps": 2, "sign_mix_a": 0.5, "master_seed": 4, '
     '"ratio_reference": ["hypothesis_testing", "ctub"], "methods": %s}',
+    # C(2100, 2) is over the enumeration budget: sparse_agg_exact fails and recover_sa_n runs greedy
+    "options": '{"p": 2100, "theta": 0.5, "betas": [0.6, 0.7], "strength_kind": "alpha", '
+    '"strengths": [0.2], "reps": 2, "master_seed": 5, "methods": %s}',
 }
 
 
@@ -86,6 +106,8 @@ def _trial_specs() -> dict:
         "white": {"params": _params(alpha=0.15), "methods": METHODS, "seed": 4},
         "signed": {"params": _params(alpha=0.15, sign_mix_a=0.5), "methods": METHODS, "seed": 5},
         "null": {"params": _params(p=2000, alpha="inf"), "methods": METHODS, "seed": 3},
+        # default N = 6 is over budget: greedy searches at N = 4 and 6, exact ones at N = 2
+        "options": {"params": _params(beta=0.7, alpha=0.15), "methods": OPTIONS, "seed": 7},
         "nonfinite_q": {
             "params": _params(alpha=0.15),
             "methods": {"if_pca": {"q": math.inf}, "recover_if_q": {"q": math.nan}},
@@ -121,7 +143,7 @@ def _runs(work: Path) -> dict:
             runs[f"sweep {name} workers={workers}"] = ["sweep", "--spec", str(work / f"sweep_{name}.json"),
                                                        "--workers", str(workers)]
     runs["sweep alpha csv"] = ["sweep", "--spec", str(work / "sweep_alpha.json"), "--format", "csv"]
-    for name in ("null", "colored", "signed", "nonfinite_q"):
+    for name in ("null", "colored", "signed", "options", "nonfinite_q"):
         runs[f"simulate {name}"] = ["simulate", "--spec", str(work / f"trial_{name}.json")]
     runs["simulate flags"] = ["simulate", "--p", "300", "--beta", "0.6", "--r", "0.2", "--seed", "9",
                               "--methods", ",".join(METHODS)]
@@ -170,9 +192,8 @@ def main(argv: list[str]) -> int:
     base_src, head_src = (str(Path(a).resolve()) for a in argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        methods = json.dumps(METHODS)
         for name, text in SWEEPS.items():
-            (work / f"sweep_{name}.json").write_text(text % methods)
+            (work / f"sweep_{name}.json").write_text(text % json.dumps(OPTIONS if name == "options" else METHODS))
         for name, spec in _trial_specs().items():
             (work / f"trial_{name}.json").write_text(json.dumps(spec))
         _labeled_csv(work / "data.csv")
@@ -181,6 +202,9 @@ def main(argv: list[str]) -> int:
     for name in base:
         print(f"{'DIFFERS' if name in differ else 'same':8}{name}")
     print(f"{len(base) - len(differ)} of {len(base)} outputs byte-identical")
+    for label, src in (("base", base_src), ("head", head_src)):
+        lines = sum(len(path.read_text().splitlines()) for path in Path(src, "rareweak").glob("*.py"))
+        print(f"{label} rareweak/*.py: {lines} lines")
     return 1 if differ else 0
 
 

@@ -138,7 +138,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_simulate(ns) -> int:
     try:
         spec = _spec_from_flags(ns)
-    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     record = run_trial(spec)
@@ -156,7 +156,7 @@ def cmd_simulate(ns) -> int:
 def cmd_sweep(ns) -> int:
     try:
         sweep = SweepSpec.from_dict(json.loads(ns.spec.read_text()))
-    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:

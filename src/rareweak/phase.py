@@ -8,9 +8,13 @@ above which it is hopeless. Two kinds of curve are tracked: the
 known polynomial-time methods). The ``signed`` variant covers the model
 where half of the nonzero feature effects are negative.
 
-All curves are exact piecewise formulas; breakpoints are continuous and
-membership uses half-open intervals, so the side chosen at a breakpoint
-never changes the value.
+Every curve is a list of linear pieces (upper breakpoint, value, name),
+built in ``_CURVES`` and evaluated by ``_pick``. A piece covers the
+half-open interval from the previous breakpoint to its own, so at a
+breakpoint the value is the right-hand piece's; the curves are
+continuous, so the two sides agree there up to rounding. A piece can be
+empty at some theta (the one-sided statistical testing curve's flat
+piece for theta >= 2/3), and a curve's segments are its nonempty pieces.
 """
 
 from __future__ import annotations
@@ -69,10 +73,12 @@ class PhaseAnswer:
 def _pick(beta, pieces):
     """Evaluate a piecewise curve given as [(upper_break, value, name), ...].
 
-    The last entry must have upper_break = 1, so every beta < 1 (which
-    PhaseQuery guarantees) lands in a piece. A beta within _BREAK_EPS of an
-    interior breakpoint is reported with the segment marker 'breakpoint'
-    (both sides agree in value there by continuity).
+    Each piece covers [previous upper, upper), and the last upper is 1, so
+    every beta < 1 (which PhaseQuery guarantees) lands in a piece. A piece
+    whose upper is not above every earlier one is empty at this theta and
+    never chosen. At a breakpoint the value is the right-hand piece's (the
+    two agree by continuity, up to rounding). A beta within _BREAK_EPS of
+    an interior breakpoint is reported with the segment marker 'breakpoint'.
     """
     prev = 0.0
     for upper, value, name in pieces:
@@ -81,91 +87,67 @@ def _pick(beta, pieces):
                 upper < 1.0 and abs(beta - upper) <= _BREAK_EPS
             )
             return value, ("breakpoint" if near_edge else name)
-        prev = upper
+        prev = max(prev, upper)
 
 
 def _clustering_stat(theta, beta, signed):
     left = (1 + theta - 2 * beta) / 4 if signed else (1 - 2 * beta) / 2
-    pieces = [
+    return [
         ((1 - theta) / 2, left, "pca_left" if signed else "simple_agg"),
         (1 - theta, theta / 2, "sparse_agg_flat"),
         (1.0, (1 - beta) / 2, "sparse_agg_tail"),
     ]
-    return _pick(beta, pieces)
 
 
 def _clustering_ctub(theta, beta, signed):
+    pieces = [
+        (0.5, (1 + theta - 2 * beta) / 4, "classical_pca"),
+        (1 - theta / 2, theta / 4, "ifpca_flat"),
+        (1.0, (1 - beta) / 2, "ifpca_tail"),
+    ]
     if signed:
-        pieces = [
-            (0.5, (1 + theta - 2 * beta) / 4, "classical_pca"),
-            (1 - theta / 2, theta / 4, "ifpca_flat"),
-            (1.0, (1 - beta) / 2, "ifpca_tail"),
-        ]
-    else:
-        pieces = [
-            ((1 - theta) / 2, (1 - 2 * beta) / 2, "simple_agg"),
-            (0.5, (1 + theta - 2 * beta) / 4, "classical_pca"),
-            (1 - theta / 2, theta / 4, "ifpca_flat"),
-            (1.0, (1 - beta) / 2, "ifpca_tail"),
-        ]
-    return _pick(beta, pieces)
+        return pieces
+    return [((1 - theta) / 2, (1 - 2 * beta) / 2, "simple_agg"), *pieces]
 
 
 def _recovery_stat(theta, beta, signed):
     # identical for both sign variants
     del signed
-    pieces = [
+    return [
         (1 - theta, theta / 2, "flat"),
         (1.0, (1 + theta - beta) / 4, "sloped"),
     ]
-    return _pick(beta, pieces)
 
 
 def _recovery_ctub(theta, beta, signed):
     del signed
-    pieces = [
+    return [
         ((1 - theta) / 2, theta / 2, "flat_left"),
         (0.5, (1 + theta - 2 * beta) / 4, "classical_pca"),
         (1.0, theta / 4, "flat_right"),
     ]
-    return _pick(beta, pieces)
-
-
-def _above_simple_agg(theta, beta, value, segment):
-    """The larger of the simple-aggregation line and another line (value, segment).
-
-    Within _BREAK_EPS of their crossing the segment is 'breakpoint'.
-    """
-    eta1 = (2 + theta - 4 * beta) / 4
-    if abs(eta1 - value) <= _BREAK_EPS:
-        return max(eta1, value), "breakpoint"
-    if eta1 > value:
-        return eta1, "simple_agg"
-    return value, segment
 
 
 def _hyp_stat(theta, beta, signed):
+    # one-sided: the simple-aggregation line meets the flat piece at (2 - theta)/4 and the
+    # sloped one at 1/3; for theta >= 2/3 it passes above the whole flat piece, which is empty
     if signed:
-        pieces = [
-            ((1 - theta) / 2, (1 + theta - 2 * beta) / 4, "pca_left"),
-            (1 - theta, theta / 2, "sparse_agg_flat"),
-            (1.0, (1 + theta - beta) / 4, "sparse_agg_sloped"),
-        ]
-        return _pick(beta, pieces)
-    sloped = (1 + theta - beta) / 4
-    if theta / 2 <= sloped:
-        return _above_simple_agg(theta, beta, theta / 2, "sparse_agg_flat")
-    return _above_simple_agg(theta, beta, sloped, "sparse_agg_sloped")
+        first = ((1 - theta) / 2, (1 + theta - 2 * beta) / 4, "pca_left")
+    else:
+        first = (max((2 - theta) / 4, 1 / 3), (2 + theta - 4 * beta) / 4, "simple_agg")
+    return [
+        first,
+        (1 - theta, theta / 2, "sparse_agg_flat"),
+        (1.0, (1 + theta - beta) / 4, "sparse_agg_sloped"),
+    ]
 
 
 def _hyp_ctub(theta, beta, signed):
     if signed:
-        pieces = [
-            (0.5, (1 + theta - 2 * beta) / 4, "classical_pca"),
-            (1.0, theta / 4, "hc_flat"),
-        ]
-        return _pick(beta, pieces)
-    return _above_simple_agg(theta, beta, theta / 4, "hc_flat")
+        first = (0.5, (1 + theta - 2 * beta) / 4, "classical_pca")
+    else:
+        first = (0.5, (2 + theta - 4 * beta) / 4, "simple_agg")
+    return [first, (1.0, theta / 4, "hc_flat")]
 
 
 _CURVES = {
@@ -180,8 +162,8 @@ _CURVES = {
 
 def boundary(query: PhaseQuery) -> PhaseAnswer:
     """Exact boundary value and active segment for one phase-plane query."""
-    curve = _CURVES[(query.problem, query.bound_kind)]
-    value, segment = curve(query.theta, query.beta, query.variant == "signed")
+    pieces = _CURVES[(query.problem, query.bound_kind)](query.theta, query.beta, query.variant == "signed")
+    value, segment = _pick(query.beta, pieces)
     return PhaseAnswer(alpha_boundary=value, segment=segment)
 
 
@@ -218,15 +200,11 @@ def rho_star_theta(theta: float, beta: float) -> float:
 
 
 def hypothesis_segment_count(theta: float, bound_kind: str = "statistical", variant: str = "one_sided") -> int:
-    """Number of distinct line segments making up the testing boundary.
-
-    Counted by walking a fine beta grid and collapsing consecutive
-    repeats of the active-segment label. Arguments are checked as in
-    PhaseQuery.
-    """
-    labels = []
-    for i in range(1, 20_000):
-        seg = boundary(PhaseQuery("hypothesis_testing", bound_kind, variant, theta, i / 20_000)).segment
-        if seg != "breakpoint" and (not labels or labels[-1] != seg):
-            labels.append(seg)
-    return len(labels)
+    """Number of line segments making up the testing boundary: the curve's pieces
+    that are nonempty at theta. Arguments are checked as in PhaseQuery."""
+    query = PhaseQuery("hypothesis_testing", bound_kind, variant, theta)
+    prev, count = 0.0, 0
+    for upper, _, _ in _CURVES["hypothesis_testing", bound_kind](theta, query.beta, variant == "signed"):
+        count += upper > prev
+        prev = max(prev, upper)
+    return count

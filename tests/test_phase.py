@@ -27,14 +27,19 @@ class TestBoundaryValues:
         assert ans.segment == "simple_agg"
 
     def test_clustering_breakpoint_continuity(self):
-        theta = 0.5
-        b = (1 - theta) / 2
-        lo = boundary(PhaseQuery("clustering", "statistical", "one_sided", theta, b - 1e-10))
-        hi = boundary(PhaseQuery("clustering", "statistical", "one_sided", theta, b + 1e-10))
-        assert lo.alpha_boundary == pytest.approx(theta / 2, abs=1e-9)
-        assert hi.alpha_boundary == pytest.approx(theta / 2, abs=1e-9)
-        at = boundary(PhaseQuery("clustering", "statistical", "one_sided", theta, b))
-        assert at.segment == "breakpoint"
+        # every curve, not only clustering: one breakpoint rule for all of them
+        for (problem, kind, variant), breakpoints in INTERIOR_BREAKPOINTS.items():
+            for theta in (0.2, 0.5, 2 / 3, 0.8):
+                for b, left, right in breakpoints(theta):
+                    case = (problem, kind, variant, theta, b)
+                    at = boundary(PhaseQuery(problem, kind, variant, theta, b))
+                    for beta in (b, b - 1e-13, b + 1e-13):
+                        assert boundary(PhaseQuery(problem, kind, variant, theta, beta)).segment == "breakpoint", case
+                    lo = boundary(PhaseQuery(problem, kind, variant, theta, b - 1e-9))
+                    hi = boundary(PhaseQuery(problem, kind, variant, theta, b + 1e-9))
+                    assert (lo.segment, hi.segment) == (left, right), case
+                    assert lo.alpha_boundary == pytest.approx(at.alpha_boundary, abs=1e-8), case
+                    assert hi.alpha_boundary == pytest.approx(at.alpha_boundary, abs=1e-8), case
 
     def test_ctub_clustering_flat_branch(self):
         ans = boundary(PhaseQuery("clustering", "ctub", "one_sided", 0.5, 0.6))
@@ -46,9 +51,46 @@ class TestBoundaryValues:
         assert hypothesis_segment_count(0.8) == 2
 
 
+def _one_sided_stat_testing(theta):
+    # the simple-aggregation line meets the flat piece at (2 - theta)/4 and the sloped piece
+    # at 1/3; for theta >= 2/3 it lies above the whole flat piece, which is then empty
+    if theta < 2 / 3:
+        return [(max((2 - theta) / 4, 1 / 3), "simple_agg", "sparse_agg_flat"),
+                (1 - theta, "sparse_agg_flat", "sparse_agg_sloped")]
+    return [(1 / 3, "simple_agg", "sparse_agg_sloped")]
+
+
+# (problem, kind, variant) -> theta -> [(interior breakpoint, segment left of it, segment right of it)]
+INTERIOR_BREAKPOINTS = {
+    ("clustering", "statistical", "one_sided"): lambda t: [
+        ((1 - t) / 2, "simple_agg", "sparse_agg_flat"), (1 - t, "sparse_agg_flat", "sparse_agg_tail")],
+    ("clustering", "statistical", "signed"): lambda t: [
+        ((1 - t) / 2, "pca_left", "sparse_agg_flat"), (1 - t, "sparse_agg_flat", "sparse_agg_tail")],
+    ("clustering", "ctub", "one_sided"): lambda t: [
+        ((1 - t) / 2, "simple_agg", "classical_pca"), (0.5, "classical_pca", "ifpca_flat"),
+        (1 - t / 2, "ifpca_flat", "ifpca_tail")],
+    ("clustering", "ctub", "signed"): lambda t: [
+        (0.5, "classical_pca", "ifpca_flat"), (1 - t / 2, "ifpca_flat", "ifpca_tail")],
+    ("signal_recovery", "statistical", "one_sided"): lambda t: [(1 - t, "flat", "sloped")],
+    ("signal_recovery", "statistical", "signed"): lambda t: [(1 - t, "flat", "sloped")],
+    ("signal_recovery", "ctub", "one_sided"): lambda t: [
+        ((1 - t) / 2, "flat_left", "classical_pca"), (0.5, "classical_pca", "flat_right")],
+    ("signal_recovery", "ctub", "signed"): lambda t: [
+        ((1 - t) / 2, "flat_left", "classical_pca"), (0.5, "classical_pca", "flat_right")],
+    ("hypothesis_testing", "statistical", "one_sided"): _one_sided_stat_testing,
+    ("hypothesis_testing", "statistical", "signed"): lambda t: [
+        ((1 - t) / 2, "pca_left", "sparse_agg_flat"), (1 - t, "sparse_agg_flat", "sparse_agg_sloped")],
+    ("hypothesis_testing", "ctub", "one_sided"): lambda t: [(0.5, "simple_agg", "hc_flat")],
+    ("hypothesis_testing", "ctub", "signed"): lambda t: [(0.5, "classical_pca", "hc_flat")],
+}
+
+
 # (alpha_boundary, segment) recorded from the implementation that dispatched the
 # testing curves outside the curve table, at every breakpoint of each curve and
-# one midpoint per piece: (problem, kind, variant, theta): [(beta, alpha, segment)]
+# one midpoint per piece: (problem, kind, variant, theta): [(beta, alpha, segment)].
+# Four rows of the one-sided testing curves are recorded from the piece rule, which
+# reports the right-hand piece's value at a breakpoint and marks beta = 1 - theta as one:
+# statistical theta=0.2 beta=0.45 and 0.8, theta=0.5 beta=0.5, and ctub theta=0.2 beta=0.5.
 PINNED_CURVES = {
     ("clustering", "statistical", "one_sided", 0.2): [
         (0.2, 0.3, "simple_agg"), (0.4, 0.1, "breakpoint"), (0.6000000000000001, 0.1, "sparse_agg_flat"),
@@ -149,13 +191,13 @@ PINNED_CURVES = {
         (0.3, 0.30000000000000004, "classical_pca"), (0.5, 0.2, "breakpoint"), (0.75, 0.2, "flat_right"),
     ],
     ("hypothesis_testing", "statistical", "one_sided", 0.2): [
-        (0.225, 0.32500000000000007, "simple_agg"), (0.45, 0.10000000000000003, "breakpoint"),
-        (0.625, 0.1, "sparse_agg_flat"), (0.8, 0.09999999999999998, "sparse_agg_sloped"),
+        (0.225, 0.32500000000000007, "simple_agg"), (0.45, 0.1, "breakpoint"),
+        (0.625, 0.1, "sparse_agg_flat"), (0.8, 0.09999999999999998, "breakpoint"),
         (0.9, 0.07499999999999998, "sparse_agg_sloped"),
     ],
     ("hypothesis_testing", "statistical", "one_sided", 0.5): [
         (0.1875, 0.4375, "simple_agg"), (0.375, 0.25, "breakpoint"), (0.4375, 0.25, "sparse_agg_flat"),
-        (0.5, 0.25, "sparse_agg_flat"), (0.75, 0.1875, "sparse_agg_sloped"),
+        (0.5, 0.25, "breakpoint"), (0.75, 0.1875, "sparse_agg_sloped"),
     ],
     ("hypothesis_testing", "statistical", "one_sided", 0.8): [
         (0.16666666666666666, 0.5333333333333333, "simple_agg"),
@@ -177,7 +219,7 @@ PINNED_CURVES = {
         (0.6, 0.30000000000000004, "sparse_agg_sloped"),
     ],
     ("hypothesis_testing", "ctub", "one_sided", 0.2): [
-        (0.25, 0.30000000000000004, "simple_agg"), (0.5, 0.050000000000000044, "breakpoint"),
+        (0.25, 0.30000000000000004, "simple_agg"), (0.5, 0.05, "breakpoint"),
         (0.75, 0.05, "hc_flat"),
     ],
     ("hypothesis_testing", "ctub", "one_sided", 0.5): [
@@ -210,6 +252,30 @@ PINNED_SEGMENT_COUNTS = {
     (0.8, "statistical", "signed"): 3,
     (0.8, "ctub", "one_sided"): 2,
     (0.8, "ctub", "signed"): 2,
+    (0.1, "statistical", "one_sided"): 3,
+    (0.1, "statistical", "signed"): 3,
+    (0.1, "ctub", "one_sided"): 2,
+    (0.1, "ctub", "signed"): 2,
+    (0.3, "statistical", "one_sided"): 3,
+    (0.3, "statistical", "signed"): 3,
+    (0.3, "ctub", "one_sided"): 2,
+    (0.3, "ctub", "signed"): 2,
+    (0.6, "statistical", "one_sided"): 3,
+    (0.6, "statistical", "signed"): 3,
+    (0.6, "ctub", "one_sided"): 2,
+    (0.6, "ctub", "signed"): 2,
+    # from theta = 2/3 on the one-sided statistical curve's flat piece is empty
+    (0.7, "statistical", "one_sided"): 2,
+    (0.7, "statistical", "signed"): 3,
+    (0.7, "ctub", "one_sided"): 2,
+    (0.7, "ctub", "signed"): 2,
+    (0.9, "statistical", "one_sided"): 2,
+    (0.9, "statistical", "signed"): 3,
+    (0.9, "ctub", "one_sided"): 2,
+    (0.9, "ctub", "signed"): 2,
+    # the flat piece here spans (2 - theta)/4 to 1 - theta, 5e-6 wide; the count that
+    # walked a beta grid of step 5e-5 missed it and read 2
+    (0.66666, "statistical", "one_sided"): 3,
 }
 
 

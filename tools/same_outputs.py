@@ -23,12 +23,17 @@ on the same inputs, written once to a temporary directory:
   last ``--sweep`` row has an empty screen; ``--fdr`` runs at 0.1 and at
   0.3, where the step-up count is 21, and 45 without the lower-tail term;
 * ``spec_hash`` of a white, a signed, a null-cell, a non-finite ``q``
-  and a colored spec.
+  and a colored spec;
+* ``boundary`` for each of the 12 (problem, kind, variant) curves, one
+  output per curve: theta 0.2, 0.5 and 0.8 on the default grid (0.8
+  hits beta = 1/3), theta 0.5 on ``--grid 7`` (beta = i/8) and theta 0.2
+  on ``--grid 19`` (beta = i/20), which hit breakpoints exactly.
 
 The top-level ``meta`` and ``wall_time`` entries of JSON output are
 dropped, and the rest, with the exit code, is compared as bytes. One
-line per output, then each tree's ``rareweak/*.py`` line count; the
-exit status is 1 when any output differs. Only the standard library is
+line per output, then the first lines that differ in each differing
+output and each tree's ``rareweak/*.py`` line count; the exit status is
+1 when any output differs. Only the standard library is
 used here; the trees need numpy.
 """
 
@@ -41,6 +46,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from difflib import unified_diff
 from pathlib import Path
 
 METHODS = {
@@ -92,6 +98,21 @@ SWEEPS = {
     '"strengths": [0.2], "reps": 2, "master_seed": 5, "methods": %s}',
 }
 
+CURVES = [
+    (problem, kind, variant)
+    for problem in ("clustering", "signal_recovery", "hypothesis_testing")
+    for kind in ("statistical", "ctub")
+    for variant in ("one_sided", "signed")
+]
+BOUNDARY_GRIDS = (
+    ["--theta", "0.2"],
+    ["--theta", "0.5"],
+    ["--theta", "0.8"],
+    ["--theta", "0.5", "--grid", "7"],
+    ["--theta", "0.2", "--grid", "19"],
+)
+SHOWN_LINES = 10  # differing lines printed per output
+
 
 def _params(**kw) -> dict:
     return {"p": 300, "theta": 0.5, "beta": 0.4, "alpha": None, "r": None, "sign_mix_a": 0.0} | kw
@@ -136,20 +157,23 @@ def _labeled_csv(path: Path) -> None:
 
 
 def _runs(work: Path) -> dict:
-    """Output name -> argument list of ``python -m rareweak.cli``."""
+    """Output name -> the argument lists of ``python -m rareweak.cli`` whose outputs it joins."""
     runs = {}
     for name in SWEEPS:
         for workers in (1, 2):
-            runs[f"sweep {name} workers={workers}"] = ["sweep", "--spec", str(work / f"sweep_{name}.json"),
-                                                       "--workers", str(workers)]
-    runs["sweep alpha csv"] = ["sweep", "--spec", str(work / "sweep_alpha.json"), "--format", "csv"]
+            runs[f"sweep {name} workers={workers}"] = [["sweep", "--spec", str(work / f"sweep_{name}.json"),
+                                                        "--workers", str(workers)]]
+    runs["sweep alpha csv"] = [["sweep", "--spec", str(work / "sweep_alpha.json"), "--format", "csv"]]
     for name in ("null", "colored", "signed", "options", "nonfinite_q"):
-        runs[f"simulate {name}"] = ["simulate", "--spec", str(work / f"trial_{name}.json")]
-    runs["simulate flags"] = ["simulate", "--p", "300", "--beta", "0.6", "--r", "0.2", "--seed", "9",
-                              "--methods", ",".join(METHODS)]
+        runs[f"simulate {name}"] = [["simulate", "--spec", str(work / f"trial_{name}.json")]]
+    runs["simulate flags"] = [["simulate", "--p", "300", "--beta", "0.6", "--r", "0.2", "--seed", "9",
+                               "--methods", ",".join(METHODS)]]
     data = ["--data", str(work / "data.csv"), "--label-column", "group", "--baseline-kmeans"]
     for mode in (["--q", "0.3"], ["--fdr", "0.1"], ["--fdr", "0.3"], ["--top-k", "12"], ["--sweep", "0.1:8.1:2"]):
-        runs[f"ifpca-run {' '.join(mode)}"] = ["ifpca-run", *data, *mode]
+        runs[f"ifpca-run {' '.join(mode)}"] = [["ifpca-run", *data, *mode]]
+    for problem, kind, variant in CURVES:
+        curve = ["boundary", "--problem", problem, "--kind", kind, "--variant", variant]
+        runs[f"boundary {problem} {kind} {variant}"] = [curve + grid for grid in BOUNDARY_GRIDS]
     return runs
 
 
@@ -175,10 +199,12 @@ def _normalize(stdout: str) -> str:
 def _outputs(src: str, work: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": src}
     out = {}
-    for name, args in _runs(work).items():
-        cmd = [sys.executable, "-m", "rareweak.cli", *args]
-        proc = subprocess.run(cmd, env=env, cwd=work, capture_output=True, text=True)
-        out[name] = f"exit {proc.returncode}\n{_normalize(proc.stdout)}"
+    for name, arg_lists in _runs(work).items():
+        out[name] = ""
+        for args in arg_lists:
+            cmd = [sys.executable, "-m", "rareweak.cli", *args]
+            proc = subprocess.run(cmd, env=env, cwd=work, capture_output=True, text=True)
+            out[name] += f"exit {proc.returncode}\n{_normalize(proc.stdout)}"
     files = [str(work / f"trial_{name}.json") for name in _trial_specs()]
     proc = subprocess.run([sys.executable, "-c", _HASHES, *files], env=env, cwd=work, capture_output=True, text=True)
     out["spec_hash"] = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
@@ -202,6 +228,14 @@ def main(argv: list[str]) -> int:
     for name in base:
         print(f"{'DIFFERS' if name in differ else 'same':8}{name}")
     print(f"{len(base) - len(differ)} of {len(base)} outputs byte-identical")
+    for name in differ:
+        diff = unified_diff(base[name].splitlines(), head[name].splitlines(), lineterm="", n=0)
+        lines = [line for line in diff if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+        print(f"{name}:")
+        for line in lines[:SHOWN_LINES]:
+            print(f"  {line}")
+        if len(lines) > SHOWN_LINES:
+            print(f"  ... and {len(lines) - SHOWN_LINES} more")
     for label, src in (("base", base_src), ("head", head_src)):
         lines = sum(len(path.read_text().splitlines()) for path in Path(src, "rareweak").glob("*.py"))
         print(f"{label} rareweak/*.py: {lines} lines")

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
+    GROUPS,
     METHOD_PRESETS,
     METHODS,
     SweepSpec,
@@ -146,7 +147,7 @@ def cmd_simulate(ns) -> int:
         _write(canonical_json(record.to_dict()), ns.out)
     else:
         rows = []
-        for group in ("clustering", "recovery", "tests"):
+        for group in GROUPS:
             for name, entry in getattr(record, group).items():
                 rows.append({"group": group, "method": name, **entry})
         _write(_rows_to_csv(rows), ns.out)
@@ -213,13 +214,7 @@ def cmd_ifpca(ns) -> int:
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    payload = {
-        "mode": report.mode,
-        "dropped_features": report.dropped_features,
-        "warnings": report.warnings,
-        "rows": [asdict(r) for r in report.rows],
-        "n_samples": int(data.X.shape[0]),
-    }
+    payload = asdict(report) | {"n_samples": int(data.X.shape[0])}
     if ns.baseline_kmeans:
         payload["baseline_kmeans_errors"] = baseline_kmeans(data)
     _write(canonical_json(payload), ns.out)

@@ -35,6 +35,11 @@ instead: the exact solver picks column j + p for a weight of -1, and the
 greedy solver gathers row i + n when -s t_i < 0. Negation is exact, so
 the values are those of the multiply.
 
+Each ClusterResult keeps the n-vector whose signs are its labels as
+``score``: the row sums, the leading left singular vector, or the
+chosen columns' sum, X[:, support].sum(axis=1) or X @ w, formed afresh
+from X read C-ordered, so that X's memory layout cannot change its bits.
+
 sgn(0) is taken as +1 throughout: a zero is not a legal class label, so
 it is collapsed deterministically.
 """
@@ -74,12 +79,18 @@ class EnumerationBudgetError(ValueError):
 
 @dataclass
 class ClusterResult:
-    labels: np.ndarray
+    """A method's labels are the signs of ``score`` (see the module docstring)."""
+
+    score: np.ndarray
     selected: np.ndarray | None = None
     singular: SingularPair | None = None
     fallback_used: bool = False
     objective: float | None = None
     mu_hat: np.ndarray | None = None
+
+    @property
+    def labels(self) -> np.ndarray:
+        return _sgn(self.score)
 
 
 def _sgn(v: np.ndarray) -> np.ndarray:
@@ -130,7 +141,7 @@ def simple_aggregation(X: np.ndarray) -> ClusterResult:
     """Sign of the row sums of X."""
     sums = np.sum(X, axis=1)
     _require_finite(sums)
-    return ClusterResult(labels=_sgn(sums))
+    return ClusterResult(score=sums)
 
 
 def _check_sparsity(p: int, N: int) -> None:
@@ -151,16 +162,14 @@ def _sign_patterns(signs: tuple, N: int, start: int, stop: int) -> np.ndarray:
     return patterns
 
 
-def _exact_search(
-    X: np.ndarray, N: int, signs: tuple, solver_hint: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _exact_search(X: np.ndarray, N: int, signs: tuple, solver_hint: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Best (support, sign pattern) pair by exhaustive enumeration.
 
     Supports come in itertools.combinations order, each with its sign
     patterns in itertools.product order and the first sign fixed at +1
     (w and -w tie). Ties go to the first pair, i.e. the lexicographically
     smallest support, then the first pattern. Returns the support, its
-    pattern, the weighted column sum and its L1 norm.
+    pattern and the L1 norm of the weighted column sum.
 
     The signed columns are read from the stack [X, -X] (n by 2p, 2 n p
     doubles): the column of weight -1 on j is column j + p.
@@ -173,7 +182,6 @@ def _exact_search(
             f"{enum_configs(p, N, signed)} configurations exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; "
             f"use {solver_hint} instead"
         )
-    X = np.asarray(X, dtype=float)
     _checked_row_max(X, N)
     XS = np.concatenate([X, -X], axis=1)
     n_patterns = len(signs) ** (N - 1)
@@ -197,9 +205,9 @@ def _exact_search(
             if objs[k] > best_obj:
                 c, m = divmod(k, len(patterns))
                 best_obj = float(objs[k])
-                best = (chunk[c].copy(), patterns[m].copy(), sums[:, c, m].copy())
-    support, pattern, running = best
-    return support, pattern, running, best_obj
+                best = (chunk[c].copy(), patterns[m].copy())
+    support, pattern = best
+    return support, pattern, best_obj
 
 
 def _candidate_values(
@@ -265,7 +273,7 @@ def _best_moves(vals: np.ndarray, blocked: np.ndarray, signs: tuple) -> tuple[np
 
 def _greedy_search(
     X: np.ndarray, N: int, signs: tuple, restarts: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Forward selection plus best-improvement 1-swap search over (column, sign) picks.
 
     Restart 0 is the pure greedy run; each further restart seeds the
@@ -274,8 +282,8 @@ def _greedy_search(
     search may refill it with the same column of the opposite sign. The
     best objective wins, ties going to the lowest restart index, so
     results are deterministic given the seed. Returns the sorted support,
-    its signs (first one positive: w and -w tie), the weighted column sum
-    and its L1 norm.
+    its signs (first one positive: w and -w tie) and the L1 norm of the
+    weighted column sum.
 
     The restarts' forward steps are scored together, one base per
     restart; each restart's swap sweeps score its N slots together. The
@@ -325,14 +333,13 @@ def _greedy_search(
             chosen[r][pos], weights[r][pos] = j, s
             obj = _l1_objective(running[r])
         if best is None or obj > best[0] + 1e-12:
-            best = (obj, chosen[r], weights[r], running[r])
-    obj, chosen, weights, running = best
+            best = (obj, chosen[r], weights[r])
+    obj, chosen, weights = best
     order = np.argsort(chosen)
-    support = np.asarray(chosen)[order]
     pattern = np.asarray(weights, dtype=float)[order]
     if pattern[0] < 0:
-        pattern, running = -pattern, -running
-    return support, pattern, running, obj
+        pattern = -pattern
+    return np.asarray(chosen)[order], pattern, obj
 
 
 def sparse_aggregation_exact(X: np.ndarray, N: int) -> ClusterResult:
@@ -341,8 +348,9 @@ def sparse_aggregation_exact(X: np.ndarray, N: int) -> ClusterResult:
     Ties go to the lexicographically smallest index set. Refuses to run
     when comb(p, N) exceeds DEFAULT_ENUM_BUDGET.
     """
-    support, _, running, obj = _exact_search(X, N, (1,), "sparse_aggregation_greedy")
-    return ClusterResult(labels=_sgn(running), selected=support, objective=obj)
+    X = np.ascontiguousarray(X, dtype=float)
+    support, _, obj = _exact_search(X, N, (1,), "sparse_aggregation_greedy")
+    return ClusterResult(score=X[:, support].sum(axis=1), selected=support, objective=obj)
 
 
 def sparse_aggregation_greedy(
@@ -357,14 +365,15 @@ def sparse_aggregation_greedy(
     first column at random. The best objective wins, ties going to the
     lowest restart index, so results are deterministic given the seed.
     """
-    support, _, running, obj = _greedy_search(X, N, (1,), restarts, seed)
-    return ClusterResult(labels=_sgn(running), selected=support, objective=obj)
+    X = np.ascontiguousarray(X, dtype=float)
+    support, _, obj = _greedy_search(X, N, (1,), restarts, seed)
+    return ClusterResult(score=X[:, support].sum(axis=1), selected=support, objective=obj)
 
 
 def classical_pca(X: np.ndarray) -> ClusterResult:
     """Sign of the top left singular vector of the full matrix."""
     pair = leading_left_singular(X)
-    return ClusterResult(labels=_sgn(pair.vector), singular=pair)
+    return ClusterResult(score=pair.vector, singular=pair)
 
 
 def if_pca(X: np.ndarray, q: float) -> ClusterResult:
@@ -377,7 +386,7 @@ def screened_pca(X: np.ndarray, selected: np.ndarray) -> ClusterResult:
     falls back to classical PCA on every column, with fallback_used set."""
     fallback = selected.size == 0
     pair = leading_left_singular(X if fallback else X[:, selected])
-    return ClusterResult(labels=_sgn(pair.vector), selected=selected, singular=pair, fallback_used=fallback)
+    return ClusterResult(score=pair.vector, selected=selected, singular=pair, fallback_used=fallback)
 
 
 def signed_sparse_aggregation(
@@ -397,13 +406,14 @@ def signed_sparse_aggregation(
     ``greedy`` runs the same search as sparse_aggregation_greedy over
     both signs.
     """
+    X = np.ascontiguousarray(X, dtype=float)
     if greedy:
-        support, pattern, running, obj = _greedy_search(X, N, (1, -1), restarts, seed)
+        support, pattern, obj = _greedy_search(X, N, (1, -1), restarts, seed)
     else:
-        support, pattern, running, obj = _exact_search(X, N, (1, -1), "signed_sparse_aggregation(greedy=True)")
+        support, pattern, obj = _exact_search(X, N, (1, -1), "signed_sparse_aggregation(greedy=True)")
     w = np.zeros(X.shape[1])
     w[support] = pattern
-    return ClusterResult(labels=_sgn(running), selected=support, objective=obj, mu_hat=w)
+    return ClusterResult(score=X @ w, selected=support, objective=obj, mu_hat=w)
 
 
 def kmeans_1d_two(values: np.ndarray) -> np.ndarray:

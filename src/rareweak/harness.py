@@ -55,6 +55,8 @@ __all__ = [
     "sweep_csv_rows",
 ]
 
+GROUPS = ("clustering", "recovery", "tests")  # the record fields that hold method entries, by Method.group
+
 # Preset bundles for the two natural pipeline orders: estimate labels first
 # and read the support off the label-weighted means (works in the denser
 # regimes), or estimate the support first and cluster on the selected
@@ -159,11 +161,7 @@ class TrialRecord:
 
     @property
     def has_errors(self) -> bool:
-        return any(
-            "error" in entry
-            for group in (self.clustering, self.recovery, self.tests)
-            for entry in group.values()
-        )
+        return any("error" in entry for group in GROUPS for entry in getattr(self, group).values())
 
 
 @dataclass(eq=False)
@@ -294,18 +292,9 @@ def _entry(res, ds: Dataset, params: ArwParams) -> dict:
         if res.signs is not None:
             entry["signed_hamming"] = hamming_recovery_signed(res.signs, ds.mu, params.expected_signals)
         return entry
-    X = ds.X
-    if res.singular is not None:
-        score = res.singular.vector
-    elif res.mu_hat is not None:
-        score = X @ res.mu_hat
-    elif res.selected is not None:
-        score = X[:, res.selected].sum(axis=1)
-    else:
-        score = X.sum(axis=1)
     entry = {
         "hamming": hamming_clustering(res.labels, ds.labels),
-        "cosine": cos_angle(score, ds.labels.astype(float)) if np.any(score) else 0.0,
+        "cosine": cos_angle(res.score, ds.labels.astype(float)) if np.any(res.score) else 0.0,
         "fallback": bool(res.fallback_used),
     }
     if res.selected is not None:
@@ -378,7 +367,7 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     once, and spec_hash is its hash.
     """
     t0 = time.perf_counter()
-    groups = {"clustering": {}, "recovery": {}, "tests": {}}
+    groups = {group: {} for group in GROUPS}
     with _one_blas_thread():
         ds = gen_dataset(spec.params, spec.noise, spec.seed)
         stats = TrialStats(ds.X, spec.params, spec.seed)
@@ -487,40 +476,33 @@ def _mean_ci(values: list[float]) -> dict:
     }
 
 
-def _summarize(group: str, good: list[dict]) -> dict:
-    """Cell statistics of one method from its error-free trial entries."""
-    if group == "tests":
-        k = int(np.sum([e["reject"] for e in good]))
-        lo, hi = wilson_interval(k, len(good))
-        return {
-            "rejection_rate": k / len(good),
-            "ci_low": lo,
-            "ci_high": hi,
-            "statistic": _mean_ci([e["statistic"] for e in good]),
-            "n": len(good),
-        }
-    agg = {"hamming": _mean_ci([e["hamming"] for e in good])}
-    if group == "clustering":
-        agg["cosine"] = _mean_ci([e["cosine"] for e in good])
+_AVERAGED = ("hamming", "cosine", "n_selected", "support_size", "signed_hamming", "statistic")
+
+
+def _summarize(good: list[dict]) -> dict:
+    """Cell statistics of one method from its error-free trial entries: _mean_ci of each
+    _AVERAGED field they all have, the rate of a "fallback" flag, and the rate, Wilson
+    interval and count of "reject" verdicts."""
+    agg = {key: _mean_ci([e[key] for e in good]) for key in _AVERAGED if all(key in e for e in good)}
+    if "fallback" in good[0]:
         agg["fallback_rate"] = float(np.mean([e["fallback"] for e in good]))
-        if all("n_selected" in e for e in good):
-            agg["n_selected"] = _mean_ci([float(e["n_selected"]) for e in good])
-    else:
-        agg["support_size"] = _mean_ci([float(e["support_size"]) for e in good])
-        if all("signed_hamming" in e for e in good):
-            agg["signed_hamming"] = _mean_ci([e["signed_hamming"] for e in good])
+    if "reject" in good[0]:
+        k = int(np.sum([e["reject"] for e in good]))
+        agg["rejection_rate"] = k / len(good)
+        agg["ci_low"], agg["ci_high"] = wilson_interval(k, len(good))
+        agg["n"] = len(good)
     return agg
 
 
 def _aggregate_cell(records: list[TrialRecord]) -> dict:
     """Per-method statistics of a cell's trials, which all ran the same methods."""
-    out = {"clustering": {}, "recovery": {}, "tests": {}, "n_errors": 0}
-    for group in ("clustering", "recovery", "tests"):
+    out = {group: {} for group in GROUPS} | {"n_errors": 0}
+    for group in GROUPS:
         for name in sorted(getattr(records[0], group)):
             entries = [getattr(r, group)[name] for r in records]
             good = [e for e in entries if "error" not in e]
             out["n_errors"] += len(entries) - len(good)
-            out[group][name] = _summarize(group, good) if good else {"error": entries[0]["error"]}
+            out[group][name] = _summarize(good) if good else {"error": entries[0]["error"]}
     return out
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "sparse_agg_outcome",
     "higher_criticism_test",
     "higher_criticism_outcome",
-    "hc_statistic",
     "column_pvalues",
 ]
 
@@ -93,22 +92,14 @@ def column_pvalues(X: np.ndarray) -> np.ndarray:
     return _score_tail(Q, X.shape[0])
 
 
-def hc_statistic(pvalues: np.ndarray) -> float:
-    """Higher-criticism maximum over the lower half of sorted P-values.
+def _hc_max(ps: np.ndarray, p: int) -> float:
+    """Higher-criticism maximum given ps, the p // 2 smallest of p P-values, sorted.
 
     A P-value of exactly 0 is a tail that underflowed: it counts as the
     smallest positive double, so its term is the strongest. Terms whose
     sorted P-value is exactly 1 are skipped. Returns -inf if every term
-    is skipped. A NaN or a P-value outside [0, 1] raises ValueError.
+    is skipped.
     """
-    pv = np.sort(np.asarray(pvalues, dtype=float))
-    if not ((pv >= 0.0) & (pv <= 1.0)).all():  # NaN fails both comparisons
-        raise ValueError("P-values must lie in [0, 1]")
-    return _hc_max(pv[: pv.size // 2], pv.size)
-
-
-def _hc_max(ps: np.ndarray, p: int) -> float:
-    """hc_statistic given ps, the p // 2 smallest of p P-values, sorted."""
     i = np.arange(1, ps.size + 1)
     ps = np.where(ps == 0.0, np.nextafter(0.0, 1.0), ps)
     ok = ps < 1.0
@@ -128,7 +119,7 @@ def higher_criticism_outcome(scores: np.ndarray, n: int) -> TestOutcome:
 
     A P-value falls as its score rises, so the p // 2 smallest P-values
     that HC reads belong to the p // 2 largest scores: only those get a
-    chi-square tail, and the statistic equals hc_statistic(column_pvalues(X)).
+    chi-square tail, and the statistic is HC of all p column_pvalues(X).
     """
     p = scores.size
     if p < 8:

@@ -198,7 +198,7 @@ def ifpca_pipeline(
     rows = []
     for row_q, sel in cuts:
         res = screened_pca(Xstar, sel)
-        errors = _errors_against_labels(kmeans_1d_two(res.singular.vector), data.class_labels)
+        errors = _errors_against_labels(kmeans_1d_two(res.score), data.class_labels)
         rows.append(PipelineRow(q=row_q, n_selected=int(sel.size), errors=errors, fallback=res.fallback_used))
     return PipelineReport(mode=mode, rows=rows, dropped_features=int(norm.dropped.size), warnings=list(norm.warnings))
 

@@ -155,8 +155,8 @@ def exact_reference(X, N, signs):
 
     Each chunk gathers its supports' columns and multiplies them by the
     sign patterns before summing, in the same chunks as _exact_search.
-    Returns the support, its pattern, the weighted column sum and its L1
-    norm, as _exact_search does.
+    Returns the support, its pattern and the L1 norm of the weighted
+    column sum, as _exact_search does.
     """
     n, p = X.shape
     all_patterns = np.array([(1,) + rest for rest in itertools.product(signs, repeat=N - 1)], dtype=float)
@@ -176,9 +176,9 @@ def exact_reference(X, N, signs):
             if objs[k] > best_obj:
                 c, m = divmod(k, len(patterns))
                 best_obj = float(objs[k])
-                best = (chunk[c], patterns[m].copy(), sums[:, c, m].copy())
-    support, pattern, running = best
-    return np.asarray(support), pattern, running, best_obj
+                best = (chunk[c], patterns[m].copy())
+    support, pattern = best
+    return np.asarray(support), pattern, best_obj
 
 
 def exact_reference_instances():
@@ -208,12 +208,11 @@ def exact_reference_instances():
 def test_exact_matches_reference(signs):
     seen = {"integer": 0, "fortran": 0, "strided": 0, "N>=9": 0, "chunks": 0}
     for label, X, N in exact_reference_instances():
-        support, pattern, running, obj = _exact_search(X, N, signs, "greedy")
+        support, pattern, obj = _exact_search(X, N, signs, "greedy")
         want = exact_reference(X, N, signs)
         assert support.tolist() == want[0].tolist(), label
         assert pattern.tolist() == want[1].tolist(), label
-        assert running.tobytes() == want[2].tobytes(), label
-        assert obj == want[3], label
+        assert obj == want[2], label
         seen["integer"] += bool(np.all(X == np.round(X)))
         seen["fortran"] += not X.flags.c_contiguous and X.flags.f_contiguous
         seen["strided"] += not X.flags.c_contiguous and not X.flags.f_contiguous
@@ -275,26 +274,34 @@ def test_greedy_is_one_swap_optimal(signs):
         assert res.objective == pytest.approx(float(np.abs(X @ w).sum()), rel=1e-10)
 
 
-def greedy_solve(X, N, signs, seed):
-    """(support, sign pattern, objective) of the greedy search over ``signs``."""
+def aggregation_solve(X, N, signs, seed, greedy=True):
+    """(support, sign pattern, objective, score bytes, labels) of the search over ``signs``."""
     if signs == (1,):
-        res = sparse_aggregation_greedy(X, N, restarts=3, seed=seed)
-        return res.selected.tolist(), [1.0] * N, res.objective
-    res = signed_sparse_aggregation(X, N, greedy=True, restarts=3, seed=seed)
-    return res.selected.tolist(), res.mu_hat[res.selected].tolist(), res.objective
+        res = sparse_aggregation_greedy(X, N, restarts=3, seed=seed) if greedy else sparse_aggregation_exact(X, N)
+        pattern = [1.0] * N
+    else:
+        res = signed_sparse_aggregation(X, N, greedy=greedy, restarts=3, seed=seed)
+        pattern = res.mu_hat[res.selected].tolist()
+    return res.selected.tolist(), pattern, res.objective, res.score.tobytes(), res.labels.tolist()
 
 
 @pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["unsigned", "signed"])
 def test_greedy_result_independent_of_layout(signs):
-    # the result must not depend on X's memory layout
+    # the result, its score and labels included, must not depend on X's memory layout; the exact
+    # search runs too, on the tiny instances
+    exact_runs = 0
     for seed, X, N in greedy_instances():
         rng = np.random.default_rng(seed)
         wide = rng.standard_normal((X.shape[0], 2 * X.shape[1]))
         cols = rng.permutation(wide.shape[1])[: X.shape[1]]
         wide[:, cols] = X
-        want = greedy_solve(np.ascontiguousarray(X), N, signs, seed)
-        for Y in (np.asfortranarray(X), wide[:, cols]):
-            assert greedy_solve(Y, N, signs, seed) == want, seed
+        exact = enum_configs(X.shape[1], N, signed=len(signs) > 1) <= 1000
+        exact_runs += exact
+        for greedy in (True, False) if exact else (True,):
+            want = aggregation_solve(np.ascontiguousarray(X), N, signs, seed, greedy)
+            for Y in (np.asfortranarray(X), wide[:, cols]):
+                assert aggregation_solve(Y, N, signs, seed, greedy) == want, (seed, greedy)
+    assert exact_runs >= 200
 
 
 def greedy_reference(X, N, signs, restarts, seed):
@@ -302,8 +309,8 @@ def greedy_reference(X, N, signs, restarts, seed):
 
     Each candidate step writes ||b + s x_j||_1 for all p columns from a
     full n-by-p pass per sign, and a swap sweep does so once per slot.
-    Returns the sorted support, its signs, the weighted column sum and
-    its L1 norm, as _greedy_search does.
+    Returns the sorted support, its signs and the L1 norm of the weighted
+    column sum, as _greedy_search does.
     """
     n, p = X.shape
 
@@ -344,13 +351,13 @@ def greedy_reference(X, N, signs, restarts, seed):
             chosen[pos], weights[pos] = j, s
             obj = float(np.abs(running).sum())
         if best is None or obj > best[0] + 1e-12:
-            best = (obj, chosen, weights, running)
-    obj, chosen, weights, running = best
+            best = (obj, chosen, weights)
+    obj, chosen, weights = best
     order = np.argsort(chosen)
     pattern = np.asarray(weights, dtype=float)[order]
     if pattern[0] < 0:
-        pattern, running = -pattern, -running
-    return np.asarray(chosen)[order], pattern, running, obj
+        pattern = -pattern
+    return np.asarray(chosen)[order], pattern, obj
 
 
 def reference_instances():
@@ -380,12 +387,11 @@ def reference_instances():
 def test_greedy_matches_reference(signs):
     seen = {"integer": 0, "N=p": 0, "n=2": 0, "fortran": 0, "strided": 0}
     for label, X, N, restarts, seed in reference_instances():
-        support, pattern, running, obj = _greedy_search(X, N, signs, restarts, seed)
+        support, pattern, obj = _greedy_search(X, N, signs, restarts, seed)
         want = greedy_reference(X, N, signs, restarts, seed)
         assert support.tolist() == want[0].tolist(), label
         assert pattern.tolist() == want[1].tolist(), label
-        assert running.tobytes() == want[2].tobytes(), label
-        assert obj == want[3], label
+        assert obj == want[2], label
         seen["integer"] += bool(np.all(X == np.round(X)))
         seen["N=p"] += N == X.shape[1]
         seen["n=2"] += X.shape[0] == 2
@@ -430,8 +436,8 @@ def test_concurrent_searches_match_serial():
     inputs = [(rng.standard_normal((40, 600)), 10, signs) for signs in ((1,), (1, -1))]
 
     def solve(X, N, signs):
-        support, pattern, running, obj = _greedy_search(X, N, signs, 8, 3)
-        return support.tolist(), pattern.tolist(), running.tobytes(), obj
+        support, pattern, obj = _greedy_search(X, N, signs, 8, 3)
+        return support.tolist(), pattern.tolist(), obj
 
     want = [solve(*args) for args in inputs]
     got = [None, None]

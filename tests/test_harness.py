@@ -27,7 +27,8 @@ from rareweak.harness import (
     sweep_csv_rows,
     trial_seed,
 )
-from rareweak.model import ArwParams, NoiseSpec, diagonal_coloring
+from rareweak.metrics import cos_angle
+from rareweak.model import ArwParams, NoiseSpec, diagonal_coloring, gen_dataset
 from rareweak.phase import rho_star_theta
 from rareweak.spectral import q_star
 
@@ -447,6 +448,33 @@ def test_shared_results_match_one_method_trials(params, options):
         assert getattr(together, group)[name] == getattr(alone, group)[name], name
 
 
+# the n-vector each clustering method takes the signs of, formed from X and the result
+SCORE_FORMULAS = {
+    "simple_agg": lambda X, res: X.sum(axis=1),
+    "sparse_agg_exact": lambda X, res: X[:, res.selected].sum(axis=1),
+    "sparse_agg_greedy": lambda X, res: X[:, res.selected].sum(axis=1),
+    "classical_pca": lambda X, res: res.singular.vector,
+    "if_pca": lambda X, res: res.singular.vector,
+    "signed_sparse_agg": lambda X, res: X @ res.mu_hat,
+}
+
+
+@pytest.mark.parametrize("sign_mix_a", [0.0, 0.5], ids=["one_sided", "signed"])
+def test_clustering_score_contract(sign_mix_a):
+    # each clustering result carries the vector it signs, and the record's cosine is read off it
+    params = ArwParams(p=40, theta=0.5, beta=0.75, alpha=0.1, sign_mix_a=sign_mix_a)  # default N = 3
+    methods = {name: {"q": 0.5} if name == "if_pca" else {} for name in SCORE_FORMULAS}
+    assert set(methods) == {name for name, method in METHODS.items() if method.group == "clustering"}
+    record = run_trial(TrialSpec(params=params, methods=methods, seed=12))
+    ds = gen_dataset(params, seed=12)
+    stats = TrialStats(ds.X, params, 12)
+    for name, formula in SCORE_FORMULAS.items():
+        res = METHODS[name].run(stats, methods[name])
+        assert res.labels.tolist() == cluster._sgn(res.score).tolist(), name
+        assert res.score.tobytes() == formula(ds.X, res).tobytes(), name
+        assert record.clustering[name]["cosine"] == cos_angle(res.score, ds.labels), name
+
+
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
         a = trial_seed(7, 3, 4)
@@ -543,6 +571,34 @@ class TestRunSweep:
             assert stats["n"] == 2
         (row,) = sweep_csv_rows(result)
         assert row["recovery_hamming:recover_signed_pca"] == summary["hamming"]["mean"]
+
+    def test_summary_keys_of_every_method(self):
+        # one field-presence rule summarizes every group: each method's cell summary has exactly these keys
+        sweep = tiny_sweep(betas=(0.75,), strength_kind="alpha", strengths=(0.1,), reps=2, sign_mix_a=0.5,
+                           p=40, methods={name: {} for name in METHODS})
+        (cell,) = run_sweep(sweep)["cells"]
+        assert cell["results"]["n_errors"] == 0
+        clustering = {"hamming", "cosine", "fallback_rate"}
+        recovery = {"hamming", "support_size"}
+        tests = {"rejection_rate", "ci_low", "ci_high", "statistic", "n"}
+        want = {
+            "simple_agg": clustering,
+            "sparse_agg_exact": clustering | {"n_selected"},
+            "sparse_agg_greedy": clustering | {"n_selected"},
+            "classical_pca": clustering,
+            "if_pca": clustering | {"n_selected"},
+            "signed_sparse_agg": clustering | {"n_selected"},
+            "recover_sa_star": recovery,
+            "recover_if_star": recovery,
+            "recover_sa_n": recovery,
+            "recover_if_q": recovery,
+            "recover_signed_pca": recovery | {"signed_hamming"},
+            "agg_chi2": tests,
+            "sparse_agg_l1": tests,
+            "higher_criticism": tests,
+        }
+        got = {name: set(summary) for group in harness.GROUPS for name, summary in cell["results"][group].items()}
+        assert got == want
 
     def test_r_cell_at_rho_star_on_boundary(self):
         rho = rho_star_theta(0.5, 0.6)

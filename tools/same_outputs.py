@@ -16,7 +16,8 @@ on the same inputs, written once to a temporary directory:
   ``sparse_agg_exact`` records its error), 4 and the default, and two
   screens at different q beside HC on one score vector;
 * ``simulate`` on a null-cell, a colored, a signed and a non-finite ``q``
-  spec file, and on flags;
+  spec file, and on flags; the white spec file, which lists all 14
+  methods, also as CSV;
 * ``ifpca-run --baseline-kmeans`` in all four modes, on a matrix with a
   zero-MAD column and a uniform column (its MAD-scaled squared norm is
   near 0.6 n, so its ``--fdr`` P-value is mostly lower tail), where the
@@ -166,6 +167,7 @@ def _runs(work: Path) -> dict:
     runs["sweep alpha csv"] = [["sweep", "--spec", str(work / "sweep_alpha.json"), "--format", "csv"]]
     for name in ("null", "colored", "signed", "options", "nonfinite_q"):
         runs[f"simulate {name}"] = [["simulate", "--spec", str(work / f"trial_{name}.json")]]
+    runs["simulate white csv"] = [["simulate", "--spec", str(work / "trial_white.json"), "--format", "csv"]]
     runs["simulate flags"] = [["simulate", "--p", "300", "--beta", "0.6", "--r", "0.2", "--seed", "9",
                                "--methods", ",".join(METHODS)]]
     data = ["--data", str(work / "data.csv"), "--label-column", "group", "--baseline-kmeans"]

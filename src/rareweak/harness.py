@@ -14,27 +14,50 @@ execution cannot change any result. Sweep JSON output is canonical
 block so reruns are byte-identical outside it.
 
 Each trial runs numpy's OpenBLAS on one thread; sweeps get their
-parallelism from running trials on ``workers`` threads. Two trials on
+parallelism from running ``workers`` trials at once. Two trials on
 the default two BLAS threads each oversubscribe a two-core host, and
 the bits of a large product such as X @ X.T depend on the BLAS thread
 count, so the pin also makes sweep bodies independent of the host's
 BLAS setting.
+
+A sweep with ``workers=1`` runs its trials on one pool thread in this
+process. With ``workers >= 2`` each trial is one job on a pool of worker
+processes: a greedy search makes thousands of small numpy calls, which
+threads would serialize on the GIL. The process has one such pool. It
+is started by ``spawn`` on first use, which costs about a quarter of a
+second, and kept for later sweeps; a sweep with another worker count
+replaces it, and so does the next sweep after a worker died (the sweep
+it died in raises BrokenProcessPool). Specs and records cross as
+pickles, which keep every bit, so the body does not depend on the
+worker count. Each worker holds its own interpreter and its trial's X.
+Workers ignore SIGINT once started, so Ctrl-C in the parent cancels the
+trials not yet handed to a worker and lets the running ones finish. A
+process that exits joins its workers first; one that is killed leaves
+them to notice and exit. A script that runs a sweep on two or
+more workers must guard its top level with ``if __name__ ==
+"__main__":``, because each spawned worker imports the script's main
+module.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
 import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -519,18 +542,54 @@ def _classify_cell(sweep: SweepSpec, cell: dict) -> dict:
     return regions
 
 
+def _init_worker() -> None:
+    """Start a pool worker: leave Ctrl-C to the parent, and exit when the parent
+    is gone, which a worker blocked on its job queue would otherwise never see."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: parent.join() or os._exit(1), daemon=True).start()
+
+
+_workers_lock = threading.Lock()
+_workers: tuple[int, ProcessPoolExecutor] | None = None  # the process's one worker pool, with its size
+
+
+def _stop_workers() -> None:
+    """At exit: join the workers, then stop and reap the resource tracker that the
+    pool's named semaphores started. Left alone, the tracker sees this process
+    exit only after it has gone, and then outlives it as an orphan."""
+    _workers[1].shutdown()
+    resource_tracker._resource_tracker._stop()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of ``workers`` workers, made on first use and then kept;
+    the caller holds ``_workers_lock``. A pool of another size is shut down once
+    the jobs queued on it finish, and a broken one (a worker died) is replaced."""
+    global _workers
+    if _workers is None or _workers[0] != workers or _workers[1]._broken:
+        if _workers is None:
+            atexit.register(_stop_workers)
+        else:
+            _workers[1].shutdown()
+        context = multiprocessing.get_context("spawn")
+        _workers = workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker)
+    return _workers[1]
+
+
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     """Run every cell of the sweep and aggregate per-cell statistics.
 
     Returns {"spec", "cells", "meta"}; everything outside "meta" is a
     pure function of the spec. Failed cells are recorded and do not
-    stop the sweep. ``workers`` threads run trials at once; it must be a
-    positive integer. Every sweep, ``workers=1`` included, runs its
-    trials on a pool thread, so an interrupt cancels the trials not yet
-    started and takes effect once the running ones finish.
-    ``meta["blas_pinned"]`` says whether each trial ran OpenBLAS on one
-    thread, which makes the body independent of the host's BLAS thread
-    count.
+    stop the sweep. ``workers`` trials run at once; it must be a
+    positive integer. With ``workers=1`` the trials run on one pool
+    thread, with more on the process's pool of worker processes, made
+    on first use and kept (see the module docstring). Either way an
+    interrupt cancels the trials not yet started and takes effect once
+    the running ones finish. ``meta["blas_pinned"]`` says whether each
+    trial ran OpenBLAS on one thread, which makes the body independent
+    of the host's BLAS thread count.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -555,8 +614,13 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
         specs += [TrialSpec(params=params, methods=sweep.methods, seed=seed) for seed in seeds]
     # Every trial finishes before any cell aggregates: aggregating on this thread
     # while trials run contends for the GIL, which slowed serial sweeps by ~6%.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = iter(list(pool.map(run_trial, specs)))
+    if workers == 1:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            records = iter(list(pool.map(run_trial, specs)))
+    else:
+        with _workers_lock:  # every job is queued before another sweep can replace the pool
+            results = _worker_pool(workers).map(run_trial, specs)
+        records = iter(list(results))
     # map keeps submission order, so each valid cell takes the next reps records
     for cell in cells:
         if "error" not in cell:

@@ -32,9 +32,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # internal tolerance of the incomplete-gamma iterations
 _GAMMA_TOL = 1e-14
 _TINY = 1e-300
-# entries per pass of the array iterations: the iteration state of a block stays a few
-# hundred KB, so a 50,000-value call needs about a third of the memory of one whole-array pass
-_BLOCK = 8192
 
 
 def std_normal_sf(x: float) -> float:
@@ -138,8 +135,8 @@ def chisq_sf_vec(x, dof) -> np.ndarray:
 
     ``dof`` is a positive integer or an array of them that broadcasts
     against ``x``; the result has the broadcast shape. A whole column of
-    scores, or a whole Poisson mixture of degrees of freedom, is array
-    work in blocks of entries instead of scalar calls.
+    scores, or a whole Poisson mixture of degrees of freedom, is one
+    pass of array work instead of scalar calls.
 
     Raises ValueError for any x that is negative or NaN, or for any dof
     that is not a positive integer.
@@ -151,11 +148,7 @@ def chisq_sf_vec(x, dof) -> np.ndarray:
     if not np.all(x >= 0):
         raise ValueError("x must be nonnegative")
     x, a = np.broadcast_arrays(x, 0.5 * k)
-    hx, a = 0.5 * x.ravel(), a.ravel()
-    out = np.empty_like(hx)
-    for lo in range(0, hx.size, _BLOCK):
-        out[lo : lo + _BLOCK] = _gamma_q(a[lo : lo + _BLOCK], hx[lo : lo + _BLOCK])
-    return out.reshape(x.shape)
+    return _gamma_q(a.ravel(), 0.5 * x.ravel()).reshape(x.shape)
 
 
 def noncentral_chisq_sf(x: float, dof: int, noncentrality: float) -> float:

@@ -6,9 +6,14 @@ import json
 import math
 import os
 import pkgutil
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -625,7 +630,8 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_one_cell_runs_its_reps_at_once(self, monkeypatch):
-        # the job is one trial, not one cell, so two workers run one cell's two reps together
+        # the job is one trial, not one cell, so two workers run one cell's two reps together;
+        # two threads stand in for the worker processes, which cannot unpickle this closure
         barrier = threading.Barrier(2, timeout=10)
         real = harness.run_trial
 
@@ -633,8 +639,12 @@ class TestRunSweep:
             barrier.wait()
             return real(spec)
 
+        asked = []
         monkeypatch.setattr(harness, "run_trial", meet)
-        (cell,) = run_sweep(tiny_sweep(**{**SWEEP_CASES["one_cell"], "reps": 2}), workers=2)["cells"]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            monkeypatch.setattr(harness, "_worker_pool", lambda workers: asked.append(workers) or pool)
+            (cell,) = run_sweep(tiny_sweep(**{**SWEEP_CASES["one_cell"], "reps": 2}), workers=2)["cells"]
+        assert asked == [2]
         assert cell["results"]["clustering"]["simple_agg"]["hamming"]["n"] == 2
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
@@ -735,6 +745,119 @@ class TestRunSweep:
         )
 
 
+def worker_pids() -> set[int]:
+    """The process ids of the current worker pool's processes."""
+    return set(harness._workers[1]._processes)
+
+
+def package_env() -> dict:
+    """The environment of a child Python that imports this checkout's package."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class KillOnUnpickle(dict):
+    """Method options (empty, so valid) that kill the process which unpickles them: a
+    worker dies inside its job, while the serial path, which pickles nothing, runs as usual."""
+
+    def __reduce__(self):
+        return signal.raise_signal, (signal.SIGKILL,)
+
+
+def ignores_sigint(pid: int) -> bool:
+    """Whether the process ignores SIGINT, read off its SigIgn mask in /proc."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    mask = int(re.search(r"^SigIgn:\s*([0-9a-f]+)$", status, re.MULTILINE).group(1), 16)
+    return bool(mask >> (signal.SIGINT - 1) & 1)
+
+
+class TestWorkerPool:
+    def test_pool_kept_between_sweeps_and_replaced_by_another_size(self):
+        sweep = tiny_sweep(**SWEEP_CASES["invalid_cell"])
+        serial = sweep_json(run_sweep(sweep))
+        pools = []
+        for workers in (2, 2, 3, 2):
+            assert sweep_json(run_sweep(sweep, workers=workers)) == serial
+            assert harness._workers[0] == workers
+            pools.append(harness._workers[1])
+        assert pools[0] is pools[1]
+        assert len({id(pool) for pool in pools[1:]}) == 3
+
+    def test_concurrent_sweeps_of_two_sizes_each_equal_serial(self):
+        # each sweep queues its jobs before another can replace the pool, which
+        # then waits for them instead of shutting the pool down under the sweep
+        sweep = tiny_sweep()
+        serial = sweep_json(run_sweep(sweep))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                futures = [threads.submit(run_sweep, sweep, workers) for workers in (2, 3, 2, 3)]
+                bodies = [sweep_json(future.result(timeout=120)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert bodies == [serial] * 4
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_dead_worker_fails_its_sweep_and_the_next_gets_a_fresh_pool(self):
+        sweep = tiny_sweep()
+        serial = sweep_json(run_sweep(sweep))
+        fatal = tiny_sweep(methods={"simple_agg": KillOnUnpickle()})
+        assert not any(cell["results"]["n_errors"] for cell in run_sweep(fatal)["cells"])  # harmless in-process
+        run_sweep(sweep, workers=2)
+        broken = harness._workers[1]
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(fatal, workers=2)
+        assert sweep_json(run_sweep(sweep, workers=2)) == serial
+        assert harness._workers[1] is not broken
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the signal mask from /proc")
+    def test_workers_ignore_sigint(self):
+        sweep = tiny_sweep()
+        serial = sweep_json(run_sweep(sweep))
+        run_sweep(sweep, workers=2)
+        pool, pids = harness._workers[1], worker_pids()
+        deadline = time.monotonic() + 60
+        while not all(ignores_sigint(pid) for pid in pids):  # a worker still starting up has not set it yet
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        for pid in pids:
+            os.kill(pid, signal.SIGINT)
+        assert sweep_json(run_sweep(sweep, workers=2)) == serial
+        assert harness._workers[1] is pool and worker_pids() == pids
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_no_process_outlives_a_sweeping_script(self, ending):
+        # the script runs in its own process group, so every process it starts
+        # (workers and multiprocessing's resource tracker) is found by the group id;
+        # a script that exits has reaped them all by then, while a killed script's
+        # workers only exit once they see their parent gone
+        script = (
+            "import json, multiprocessing, os, signal, sys\n"
+            "from rareweak.harness import SweepSpec, run_sweep\n"
+            "run_sweep(SweepSpec.from_dict(json.loads(sys.argv[1])), workers=2)\n"
+            "print(len(multiprocessing.active_children()), flush=True)\n"
+            "if sys.argv[2] == 'kill':\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(tiny_sweep().to_dict()), ending],
+            env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+        )
+        out, _ = child.communicate(timeout=120)
+        assert out.split() == ["2"]
+        assert child.returncode == (0 if ending == "exit" else -signal.SIGKILL)
+        deadline = time.monotonic() + (0 if ending == "exit" else 60)
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the script's group is still running"
+            time.sleep(0.05)
+
+
 class TestTestingErrors:
     def test_null_cell_reads_type_one_error(self):
         # a strength of Infinity is the null: its rejection rate is the type I error,
@@ -809,9 +932,7 @@ class TestBlasPin:
             "result = run_sweep(SweepSpec.from_dict(json.loads(sys.argv[1])))\n"
             "sys.stdout.write(canonical_json({k: v for k, v in result.items() if k != 'meta'}))\n"
         )
-        src = str(Path(harness.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": "1"}
         child = subprocess.run(
             [sys.executable, "-c", script, json.dumps(sweep.to_dict())], env=env, capture_output=True, text=True, check=True
         )

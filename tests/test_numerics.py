@@ -114,6 +114,14 @@ class TestChisqSf:
         for row, dof in zip(got, dofs[:, 0]):
             assert np.array_equal(row, chisq_sf_vec(xs[0], int(dof)))
 
+    def test_long_vector_equals_scalar_calls(self):
+        # one pass over more than 8,192 entries, both branches and both ends: each entry as its own call gives
+        dof = 8
+        xs = np.random.default_rng(10).uniform(0.0, 5.0 * dof, size=8_200)
+        xs[:2] = [0.0, math.inf]
+        assert 1_000 < np.count_nonzero(xs < dof + 2) < 7_000  # the power series below dof + 2, the fraction above
+        assert chisq_sf_vec(xs, dof).tolist() == [chisq_sf(x, dof) for x in xs]
+
     # values of the engine before array dof was added; scalar dof must keep every bit
     PINNED = {
         100: (

@@ -6,7 +6,7 @@ BASE_SRC and HEAD_SRC are directories that hold the ``rareweak``
 package (a checkout's ``src``). Each tree runs in its own subprocesses,
 on the same inputs, written once to a temporary directory:
 
-* ``sweep`` on 1 and 2 workers, all 14 methods, over an alpha grid with
+* ``sweep`` on 1, 2 and 3 workers, all 14 methods, over an alpha grid with
   a null cell (both the ``Infinity`` token and ``"inf"``) and an invalid
   beta, the signed variant, an ``r`` grid with a cell at rho and cells at
   both ends of IF-PCA's beta range, and an ``alpha_ratio`` grid; the
@@ -161,7 +161,7 @@ def _runs(work: Path) -> dict:
     """Output name -> the argument lists of ``python -m rareweak.cli`` whose outputs it joins."""
     runs = {}
     for name in SWEEPS:
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             runs[f"sweep {name} workers={workers}"] = [["sweep", "--spec", str(work / f"sweep_{name}.json"),
                                                         "--workers", str(workers)]]
     runs["sweep alpha csv"] = [["sweep", "--spec", str(work / "sweep_alpha.json"), "--format", "csv"]]

@@ -71,8 +71,7 @@ def _add_sweep(sub):
         "--workers",
         type=int,
         default=1,
-        help="trials run at once (default 1): 1 runs them in this process, more on that many worker "
-        "processes, started once per process; each trial runs BLAS on one thread",
+        help="trials run at once (default 1): 1 runs them on the calling thread, more on that many worker processes",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

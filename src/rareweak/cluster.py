@@ -132,8 +132,14 @@ def enum_configs(p: int, N: int, signed: bool = False) -> int:
     return math.comb(p, N) * (2 ** (N - 1) if signed else 1)
 
 
+def _check_sparsity(p: int, N: int) -> None:
+    if not 1 <= N <= p:
+        raise ValueError(f"N must lie in [1, {p}], got {N}")
+
+
 def _over_budget(p: int, N: int, signed: bool = False) -> bool:
-    """Whether an exact N-of-p search would enumerate more pairs than DEFAULT_ENUM_BUDGET."""
+    """Whether an exact N-of-p search enumerates more than DEFAULT_ENUM_BUDGET pairs; N outside [1, p] raises."""
+    _check_sparsity(p, N)
     return enum_configs(p, N, signed) > DEFAULT_ENUM_BUDGET
 
 
@@ -142,11 +148,6 @@ def simple_aggregation(X: np.ndarray) -> ClusterResult:
     sums = np.sum(X, axis=1)
     _require_finite(sums)
     return ClusterResult(score=sums)
-
-
-def _check_sparsity(p: int, N: int) -> None:
-    if not 1 <= N <= p:
-        raise ValueError(f"N must lie in [1, {p}], got {N}")
 
 
 def _l1_objective(running: np.ndarray) -> float:
@@ -175,7 +176,6 @@ def _exact_search(X: np.ndarray, N: int, signs: tuple, solver_hint: str) -> tupl
     doubles): the column of weight -1 on j is column j + p.
     """
     n, p = X.shape
-    _check_sparsity(p, N)
     signed = len(signs) > 1
     if _over_budget(p, N, signed):
         raise EnumerationBudgetError(
@@ -423,12 +423,15 @@ def kmeans_1d_two(values: np.ndarray) -> np.ndarray:
     the sorted order, so scanning all n-1 splits with prefix sums finds
     the global optimum in O(n log n). The lower cluster is labeled -1,
     the upper +1; ties in the objective go to the smallest split index.
-    Constant input collapses to a single all-+1 cluster.
+    Constant input collapses to a single all-+1 cluster. A NaN or inf
+    value raises ValueError.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     if n < 2:
         raise ValueError("need at least two values")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     order = np.argsort(v, kind="stable")
     s = v[order]
     if s[0] == s[-1]:

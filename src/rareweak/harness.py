@@ -20,23 +20,23 @@ the bits of a large product such as X @ X.T depend on the BLAS thread
 count, so the pin also makes sweep bodies independent of the host's
 BLAS setting.
 
-A sweep with ``workers=1`` runs its trials on one pool thread in this
-process. With ``workers >= 2`` each trial is one job on a pool of worker
-processes: a greedy search makes thousands of small numpy calls, which
-threads would serialize on the GIL. The process has one such pool. It
-is started by ``spawn`` on first use, which costs about a quarter of a
-second, and kept for later sweeps; a sweep with another worker count
-replaces it, and so does the next sweep after a worker died (the sweep
-it died in raises BrokenProcessPool). Specs and records cross as
-pickles, which keep every bit, so the body does not depend on the
-worker count. Each worker holds its own interpreter and its trial's X.
-Workers ignore SIGINT once started, so Ctrl-C in the parent cancels the
-trials not yet handed to a worker and lets the running ones finish. A
-process that exits joins its workers first; one that is killed leaves
-them to notice and exit. A script that runs a sweep on two or
-more workers must guard its top level with ``if __name__ ==
-"__main__":``, because each spawned worker imports the script's main
-module.
+A sweep with ``workers=1`` runs its trials one after another on the
+calling thread, so Ctrl-C stops the running trial at once. With
+``workers >= 2`` each trial is one job on a pool of worker processes: a
+greedy search makes thousands of small numpy calls, which threads would
+serialize on the GIL. The process has one such pool. It is started by
+``spawn`` on first use, which costs about a quarter of a second, and
+kept for later sweeps; a sweep with another worker count replaces it,
+and so does the next sweep after a worker died (the sweep it died in
+raises BrokenProcessPool). Specs and records cross as pickles, which
+keep every bit, so the body does not depend on the worker count. Each
+worker holds its own interpreter and its trial's X. Workers ignore
+SIGINT once started, so Ctrl-C in the parent cancels the trials not yet
+handed to a worker and lets the running ones finish. A process that
+exits joins its workers first; one that is killed leaves them to notice
+and exit. A script that runs a sweep on two or more workers must guard
+its top level with ``if __name__ == "__main__":``, because each spawned
+worker imports the script's main module.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import signal
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import resource_tracker
@@ -581,15 +581,12 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
     """Run every cell of the sweep and aggregate per-cell statistics.
 
     Returns {"spec", "cells", "meta"}; everything outside "meta" is a
-    pure function of the spec. Failed cells are recorded and do not
-    stop the sweep. ``workers`` trials run at once; it must be a
-    positive integer. With ``workers=1`` the trials run on one pool
-    thread, with more on the process's pool of worker processes, made
-    on first use and kept (see the module docstring). Either way an
-    interrupt cancels the trials not yet started and takes effect once
-    the running ones finish. ``meta["blas_pinned"]`` says whether each
-    trial ran OpenBLAS on one thread, which makes the body independent
-    of the host's BLAS thread count.
+    pure function of the spec. Failed cells are recorded and do not stop
+    the sweep. ``workers`` trials run at once; it must be a positive
+    integer. One runs the trials on the calling thread, where Ctrl-C
+    stops the running trial at once; more run them on the process's pool
+    of worker processes. ``meta["blas_pinned"]`` says whether each trial
+    ran OpenBLAS on one thread. The module docstring has the details.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -612,15 +609,14 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
         cell["regions"] = _classify_cell(sweep, cell)
         seeds = (trial_seed(sweep.master_seed, cell_index, rep) for rep in range(sweep.reps))
         specs += [TrialSpec(params=params, methods=sweep.methods, seed=seed) for seed in seeds]
-    # Every trial finishes before any cell aggregates: aggregating on this thread
-    # while trials run contends for the GIL, which slowed serial sweeps by ~6%.
+    # Every trial finishes before any cell aggregates: aggregating beside the pool's result
+    # thread contends for the GIL (beside a trial thread it slowed serial sweeps by ~6%).
     if workers == 1:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            records = iter(list(pool.map(run_trial, specs)))
+        results = map(run_trial, specs)
     else:
         with _workers_lock:  # every job is queued before another sweep can replace the pool
             results = _worker_pool(workers).map(run_trial, specs)
-        records = iter(list(results))
+    records = iter(list(results))
     # map keeps submission order, so each valid cell takes the next reps records
     for cell in cells:
         if "error" not in cell:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .cluster import kmeans_1d_two, screened_pca
 from .harness import _one_blas_thread
+from .model import _is_integer
 from .numerics import bh_threshold
 from .spectral import _score_tail, _standardize, _threshold_q, select_features
 
@@ -186,10 +187,10 @@ def ifpca_pipeline(
 
     # each mode resolves its cuts as (q reported on the row, selected columns)
     if mode == "top_k":
-        if not 1 <= top_k <= p:
-            raise ValueError(f"top_k must lie in [1, {p}]")
-        order = np.argsort(-scores, kind="stable")
-        cuts = [(float(_threshold_q(scores[order[top_k - 1]], p)), np.sort(order[:top_k]))]
+        if not (_is_integer(top_k) and 1 <= top_k <= p):
+            raise ValueError(f"top_k must lie in [1, {p}] and be an integer, got {top_k!r}")
+        top = np.argsort(-scores, kind="stable")[: int(top_k)]
+        cuts = [(float(_threshold_q(scores[top[-1]], p)), np.sort(top))]
     elif mode == "fdr":
         pv = _null_two_sided_pvalues(scores, n)
         cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]

@@ -779,6 +779,11 @@ class TestKmeans1dTwo:
         with pytest.raises(ValueError, match="need at least two values"):
             kmeans_1d_two(np.array(values))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            kmeans_1d_two(np.array([0.0, 0.1, bad, 5.0, 5.1]))
+
     def test_matches_exhaustive_split_oracle(self):
         rng = np.random.default_rng(74)
         v = rng.standard_normal(200)

@@ -223,6 +223,18 @@ class TestRunTrial:
         assert "error" not in entry
         assert entry["support_size"] == 20
 
+    @pytest.mark.parametrize("N", [-1, 301])
+    def test_N_range_checked_before_the_budget_is_charged(self, N, monkeypatch):
+        # an N outside [1, p] is refused by the range check, not by the budget count it would form
+        charged, real = [], cluster.enum_configs
+        monkeypatch.setattr(cluster, "enum_configs", lambda *args: charged.append(args) or real(*args))
+        methods = {"recover_sa_n": {"N": N}, "sparse_agg_l1": {"N": N}, "signed_sparse_agg": {"N": N}}
+        spec = TrialSpec(params=ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15), methods=methods, seed=1)
+        rec = run_trial(spec)
+        error = {"error": f"N must lie in [1, 300], got {N}"}
+        assert rec.recovery["recover_sa_n"] == rec.tests["sparse_agg_l1"] == rec.clustering["signed_sparse_agg"] == error
+        assert charged == []
+
     def test_entries_call_through_module_attributes(self, monkeypatch):
         # a tracer swaps module attributes; every table entry must pick the swap up
         from rareweak import cluster, hyptest, spectral
@@ -646,6 +658,13 @@ class TestRunSweep:
             (cell,) = run_sweep(tiny_sweep(**{**SWEEP_CASES["one_cell"], "reps": 2}), workers=2)["cells"]
         assert asked == [2]
         assert cell["results"]["clustering"]["simple_agg"]["hamming"]["n"] == 2
+
+    def test_serial_trials_run_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda spec: threads.append(threading.get_ident()) or real(spec))
+        run_sweep(tiny_sweep(), workers=1)
+        assert threads == [threading.get_ident()] * 12  # 2 betas x 2 strengths x 3 reps
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_bad_workers_rejected(self, workers):

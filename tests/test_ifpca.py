@@ -113,6 +113,15 @@ class TestPipeline:
         assert rep.rows[0].n_selected == 7
         assert rep.rows[0].q is not None
 
+    @pytest.mark.parametrize("top_k", [2.5, 0, 31, True, "3"])
+    def test_top_k_must_be_an_integer_in_range(self, top_k):
+        with pytest.raises(ValueError, match=r"top_k must lie in \[1, 30\] and be an integer"):
+            ifpca_pipeline(two_blob_data(), top_k=top_k)
+
+    def test_integral_float_top_k_equals_int(self):
+        data = two_blob_data()
+        assert ifpca_pipeline(data, top_k=7.0) == ifpca_pipeline(data, top_k=7)
+
     def test_sweep_rows(self):
         data = two_blob_data()
         rep = ifpca_pipeline(data, sweep=[0.1, 0.5, 2.0])

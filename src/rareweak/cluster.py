@@ -125,21 +125,21 @@ def default_sparsity(expected_signals: float) -> int:
     return max(1, math.ceil(expected_signals))
 
 
-def enum_configs(p: int, N: int, signed: bool = False) -> int:
-    """Budget charge of an exact N-of-p search: the (support, sign pattern)
-    pairs it evaluates, C(p, N), times 2^(N-1) when signed (the first sign
-    is fixed, since w and -w tie)."""
-    return math.comb(p, N) * (2 ** (N - 1) if signed else 1)
-
-
 def _check_sparsity(p: int, N: int) -> None:
     if not 1 <= N <= p:
         raise ValueError(f"N must lie in [1, {p}], got {N}")
 
 
-def _over_budget(p: int, N: int, signed: bool = False) -> bool:
-    """Whether an exact N-of-p search enumerates more than DEFAULT_ENUM_BUDGET pairs; N outside [1, p] raises."""
+def enum_configs(p: int, N: int, signed: bool = False) -> int:
+    """Budget charge of an exact N-of-p search: the (support, sign pattern)
+    pairs it evaluates, C(p, N), times 2^(N-1) when signed (the first sign
+    is fixed, since w and -w tie). N outside [1, p] raises ValueError."""
     _check_sparsity(p, N)
+    return math.comb(p, N) * (2 ** (N - 1) if signed else 1)
+
+
+def _over_budget(p: int, N: int, signed: bool = False) -> bool:
+    """Whether an exact N-of-p search would enumerate more pairs than DEFAULT_ENUM_BUDGET."""
     return enum_configs(p, N, signed) > DEFAULT_ENUM_BUDGET
 
 

@@ -609,8 +609,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> dict:
         cell["regions"] = _classify_cell(sweep, cell)
         seeds = (trial_seed(sweep.master_seed, cell_index, rep) for rep in range(sweep.reps))
         specs += [TrialSpec(params=params, methods=sweep.methods, seed=seed) for seed in seeds]
-    # Every trial finishes before any cell aggregates: aggregating beside the pool's result
-    # thread contends for the GIL (beside a trial thread it slowed serial sweeps by ~6%).
+    # collect every record before aggregating: aggregating beside the process pool's
+    # result thread would contend for the GIL
     if workers == 1:
         results = map(run_trial, specs)
     else:

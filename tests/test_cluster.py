@@ -746,6 +746,11 @@ class TestSignedSparseAggregation:
         with pytest.raises(EnumerationBudgetError):
             signed_sparse_aggregation(X, N=15)
 
+    @pytest.mark.parametrize("N, signed", [(-1, False), (0, True), (6, True)])
+    def test_enum_configs_rejects_N_out_of_range(self, N, signed):
+        with pytest.raises(ValueError, match=rf"N must lie in \[1, 5\], got {N}"):
+            enum_configs(5, N, signed=signed)
+
     def test_budget_charges_evaluated_pairs(self, monkeypatch):
         # p = N = 5: one support with 2^4 sign patterns, the first sign fixed
         X = np.random.default_rng(75).standard_normal((6, 5))

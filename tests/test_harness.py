@@ -225,15 +225,15 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("N", [-1, 301])
     def test_N_range_checked_before_the_budget_is_charged(self, N, monkeypatch):
-        # an N outside [1, p] is refused by the range check, not by the budget count it would form
-        charged, real = [], cluster.enum_configs
-        monkeypatch.setattr(cluster, "enum_configs", lambda *args: charged.append(args) or real(*args))
+        # an N outside [1, p] is refused by the range check before the budget count C(p, N) is formed
+        charged, real = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda *args: charged.append(args) or real(*args))
         methods = {"recover_sa_n": {"N": N}, "sparse_agg_l1": {"N": N}, "signed_sparse_agg": {"N": N}}
         spec = TrialSpec(params=ArwParams(p=300, theta=0.5, beta=0.4, alpha=0.15), methods=methods, seed=1)
         rec = run_trial(spec)
         error = {"error": f"N must lie in [1, 300], got {N}"}
         assert rec.recovery["recover_sa_n"] == rec.tests["sparse_agg_l1"] == rec.clustering["signed_sparse_agg"] == error
-        assert charged == []
+        assert (300, N) not in charged
 
     def test_entries_call_through_module_attributes(self, monkeypatch):
         # a tracer swaps module attributes; every table entry must pick the swap up

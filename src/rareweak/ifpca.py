@@ -167,7 +167,7 @@ def ifpca_pipeline(
 
     The ``q`` and ``sweep`` modes keep the columns whose score is >= the
     cut sqrt(2 q log p), through ``spectral.select_features``, and need
-    q > 0.
+    a finite q > 0.
 
     Every mode screens ``data.normalized``, computed once per ``data``;
     a NaN or inf entry raises ValueError naming its row and column.
@@ -180,6 +180,10 @@ def ifpca_pipeline(
     mode = modes[0]
     if mode == "sweep" and len(sweep) == 0:
         raise ValueError("sweep needs at least one q value")
+    qs = [q] if mode == "q" else sweep or []
+    bad = [qv for qv in qs if not np.isfinite(qv)]
+    if bad:
+        raise ValueError(f"q must be finite, got {bad[0]!r}")
     norm = data.normalized
     Xstar = norm.X
     n, p = Xstar.shape
@@ -195,7 +199,7 @@ def ifpca_pipeline(
         pv = _null_two_sided_pvalues(scores, n)
         cuts = [(None, np.sort(np.argsort(pv, kind="stable")[: bh_threshold(pv, fdr)]))]
     else:
-        cuts = [(float(qv), select_features(scores, qv)) for qv in ([q] if mode == "q" else sweep)]
+        cuts = [(float(qv), select_features(scores, qv)) for qv in qs]
     rows = []
     for row_q, sel in cuts:
         res = screened_pca(Xstar, sel)

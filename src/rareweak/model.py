@@ -327,7 +327,9 @@ def gen_mu(
     return mu, np.flatnonzero(mu)
 
 
-def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0) -> Dataset:
+def gen_dataset(
+    params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0, out: np.ndarray | None = None
+) -> Dataset:
     """Draw one dataset X = outer(labels, mu) + noise.
 
     The seed is split into three child streams (labels, mu, noise), so
@@ -336,14 +338,32 @@ def gen_dataset(params: ArwParams, noise: NoiseSpec | None = None, seed: int = 0
     at a time, with the arithmetic of outer(labels, mu) + Z: the call
     allocates no n-by-p array besides X itself (a coloring product makes
     one more while it runs).
+
+    ``out``, when given, is an n-by-p array that the noise is drawn into,
+    with the same bits as a fresh draw: it must be a writable, C-contiguous
+    float64 array (numpy fills an F-ordered one in memory order, which
+    gives another X), else ValueError is raised before anything is drawn.
+    With white noise, X is ``out``; a coloring product makes X anew.
     """
     noise = noise or NoiseSpec.white()
     n, epsilon, tau = params.n, params.epsilon, params.tau
     noise.check_shapes(n, params.p)
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.shape == (n, params.p)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        got = type(out).__name__
+        if isinstance(out, np.ndarray):
+            f = out.flags
+            got = f"a {out.dtype} array of shape {out.shape} (C-contiguous {f.c_contiguous}, writable {f.writeable})"
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {(n, params.p)}, got {got}")
     ss_labels, ss_mu, ss_noise = np.random.SeedSequence(seed).spawn(3)
     labels = gen_labels(n, np.random.default_rng(ss_labels))
     mu, support = gen_mu(params.p, epsilon, tau, params.sign_mix_a, np.random.default_rng(ss_mu))
-    Z = np.random.default_rng(ss_noise).standard_normal((n, params.p))
+    Z = np.random.default_rng(ss_noise).standard_normal((n, params.p), out=out)
     if noise.A is not None:
         Z = noise.A @ Z
     if noise.B is not None:

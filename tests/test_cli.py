@@ -471,6 +471,13 @@ class TestIfpcaCommand:
         assert code == 2 and out == ""
         assert err == "pipeline error: every feature has zero median absolute deviation; no column is left to cluster\n"
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_q_exit_2(self, tmp_path, capsys, q):
+        dpath, lpath = self.data_files(tmp_path)
+        code, out, err = run_cli(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--q", q], capsys)
+        assert code == 2 and out == ""
+        assert err == f"pipeline error: q must be finite, got {q}\n"
+
     def test_top_k_zero_exit_2(self, tmp_path, capsys):
         dpath, lpath = self.data_files(tmp_path)
         code, out, err = run_cli(["ifpca-run", "--data", str(dpath), "--labels", str(lpath), "--top-k", "0"], capsys)

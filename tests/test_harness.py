@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -344,6 +345,70 @@ class TestRunTrial:
         }
         assert "signed_hamming" in rec.recovery["recover_signed_pca"]
         assert set(rec.tests) == {"agg_chi2", "sparse_agg_l1", "higher_criticism"}
+
+
+def record_body(rec) -> dict:
+    """A record's fields without its wall time."""
+    return {k: v for k, v in rec.to_dict().items() if k != "wall_time"}
+
+
+class TestKeptArray:
+    """run_trial draws X into the process's one kept array of the trial's shape."""
+
+    def test_second_trial_of_a_shape_allocates_no_x(self):
+        params = ArwParams(p=20_000, theta=0.5, beta=0.4, alpha=0.2)  # n = 141, X is 22.6 MB
+        nbytes = params.n * params.p * 8
+        peaks = []
+        for seed in (1, 2):
+            tracemalloc.start()
+            try:
+                run_trial(TrialSpec(params=params, methods={"simple_agg": {}}, seed=seed))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] >= nbytes and peaks[1] < nbytes / 4
+        assert [a.shape for a in harness._kept] == [(params.n, params.p)]
+
+    def test_shapes_a_b_a_match_fresh_arrays(self):
+        a = small_spec(seed=1)
+        colored = replace(a, seed=4, noise=NoiseSpec.colored(B=diagonal_coloring(300, 4.0)))
+        specs = [a, small_spec(seed=2, p=500), colored, small_spec(seed=3), small_spec(seed=2, p=500)]
+        got = [record_body(run_trial(spec)) for spec in specs]
+        fresh = []
+        for spec in specs:
+            harness._kept.clear()
+            fresh.append(record_body(run_trial(spec)))
+        assert got == fresh
+        assert json.loads(json.dumps(got)) == got  # records hold no array
+
+    def test_overlapping_trials_equal_serial(self, monkeypatch):
+        # each trial waits inside its methods, after its draw, until a trial on the
+        # other thread is there too: two trials drawing into one array would leave
+        # one of them reading the other's X
+        specs = [small_spec(seed=s) for s in range(8)]
+        serial = [record_body(run_trial(spec)) for spec in specs]
+        together = threading.Barrier(2, timeout=60)
+        real = cluster.simple_aggregation
+
+        def meet(X):
+            together.wait()
+            return real(X)
+
+        monkeypatch.setattr(cluster, "simple_aggregation", meet)
+        threaded = [None] * len(specs)
+
+        def trials(start):
+            for i in range(start, len(specs), 2):
+                threaded[i] = record_body(run_trial(specs[i]))
+
+        threads = [threading.Thread(target=trials, args=(start,)) for start in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == serial
+        assert len(harness._kept) == 1
 
 
 def test_traced_names_resolve(monkeypatch):

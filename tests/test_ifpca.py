@@ -135,6 +135,17 @@ class TestPipeline:
         with pytest.raises(ValueError, match="q must be positive"):
             ifpca_pipeline(two_blob_data(), **mode)
 
+    @pytest.mark.parametrize(
+        "mode, shown",
+        [({"q": math.inf}, "inf"), ({"q": math.nan}, "nan"), ({"sweep": [0.5, math.nan]}, "nan"),
+         ({"sweep": [-math.inf, 0.0]}, "-inf")],
+        ids=["q-inf", "q-nan", "sweep-nan", "sweep-minus-inf"],
+    )
+    def test_q_must_be_finite(self, mode, shown):
+        # an infinite q used to give an empty screen and the all-feature fallback row
+        with pytest.raises(ValueError, match=f"^q must be finite, got {shown}$"):
+            ifpca_pipeline(two_blob_data(), **mode)
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="sweep"):
             ifpca_pipeline(two_blob_data(), sweep=[])

@@ -304,3 +304,65 @@ class TestGenDataset:
         c = gen_dataset(params, seed=124)
         assert not np.array_equal(a.X, c.X)
 
+
+
+class TestGenDatasetOut:
+    """gen_dataset(out=...) draws the noise into a given array with the bits of a fresh draw."""
+
+    params = TestGenDataset.params
+
+    @staticmethod
+    def noise(params, coloring):
+        if coloring is None:
+            return NoiseSpec.white()
+        rng = np.random.default_rng(7)
+        A = np.eye(params.n) + 0.1 * rng.standard_normal((params.n, params.n))
+        B = diagonal_coloring(params.p, 4.0)
+        return NoiseSpec.colored(A=A if coloring == "A" else None, B=B if coloring == "B" else None)
+
+    @pytest.mark.parametrize(
+        "kw, coloring",
+        [({}, None), ({}, "A"), ({}, "B"), ({"sign_mix_a": 0.5}, None), ({"alpha": math.inf}, None)],
+        ids=["white", "colored-A", "colored-B", "signed", "null"],
+    )
+    def test_same_bits_as_a_fresh_draw(self, kw, coloring):
+        params = self.params(**kw)
+        noise = self.noise(params, coloring)
+        out = np.empty((params.n, params.p))
+        for seed in (0, 31, 0):  # the second and third draws land on an earlier draw's values
+            fresh = gen_dataset(params, noise, seed=seed)
+            ds = gen_dataset(params, noise, seed=seed, out=out)
+            assert ds.X.tobytes() == fresh.X.tobytes()
+            for name in ("labels", "mu", "support"):
+                np.testing.assert_array_equal(getattr(ds, name), getattr(fresh, name))
+            assert (ds.X is out) == (coloring is None)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n, p: np.zeros((n, p + 1)),
+            lambda n, p: np.zeros((p, n)),
+            lambda n, p: np.zeros(n * p),
+            lambda n, p: np.zeros((n, p), dtype=np.float32),
+            lambda n, p: np.zeros((n, p), dtype=">f8"),
+            lambda n, p: np.zeros((n, p), order="F"),
+            lambda n, p: np.zeros((n, 2 * p))[:, ::2],
+            lambda n, p: np.zeros((n, p)).tolist(),
+        ],
+        ids=["wide", "transposed", "flat", "float32", "big-endian", "F-order", "strided", "list"],
+    )
+    def test_bad_out_raises_before_any_draw(self, monkeypatch, make):
+        params = self.params()
+        out = make(params.n, params.p)
+        before = np.array(out, copy=True)
+        monkeypatch.setattr("rareweak.model.gen_labels", lambda *a: pytest.fail("drew labels"))
+        with pytest.raises(ValueError, match=re.escape(f"of shape ({params.n}, {params.p})")):
+            gen_dataset(params, seed=1, out=out)
+        np.testing.assert_array_equal(np.asarray(out), before)
+
+    def test_read_only_out_raises(self):
+        params = self.params()
+        out = np.zeros((params.n, params.p))
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="writable False"):
+            gen_dataset(params, seed=1, out=out)

@@ -25,6 +25,9 @@ on the same inputs, written once to a temporary directory:
   0.3, where the step-up count is 21, and 45 without the lower-tail term;
 * ``spec_hash`` of a white, a signed, a null-cell, a non-finite ``q``
   and a colored spec;
+* the alpha, signed and alpha sweeps again in one process, serially and
+  then on 2 workers, so that a process's kept X passes between trial
+  shapes and between sweeps;
 * ``boundary`` for each of the 12 (problem, kind, variant) curves, one
   output per curve: theta 0.2, 0.5 and 0.8 on the default grid (0.8
   hits beta = 1/3), theta 0.5 on ``--grid 7`` (beta = i/8) and theta 0.2
@@ -185,6 +188,15 @@ _HASHES = (
     "for path in sys.argv[1:]:\n"
     "    print(TrialSpec.from_dict(json.load(open(path))).spec_hash())\n"
 )
+_SHAPES = (
+    "import json, sys\n"
+    "from rareweak.harness import SweepSpec, canonical_json, run_sweep\n"
+    "specs = [SweepSpec.from_dict(json.load(open(path))) for path in sys.argv[1:]]\n"
+    "for workers in (1, 2):\n"
+    "    for spec in specs:\n"
+    "        print(canonical_json({k: v for k, v in run_sweep(spec, workers).items() if k != 'meta'}))\n"
+)
+SHAPE_ORDER = ("alpha", "signed", "alpha")  # p = 32, 300, 32
 
 
 def _normalize(stdout: str) -> str:
@@ -207,9 +219,14 @@ def _outputs(src: str, work: Path) -> dict:
             cmd = [sys.executable, "-m", "rareweak.cli", *args]
             proc = subprocess.run(cmd, env=env, cwd=work, capture_output=True, text=True)
             out[name] += f"exit {proc.returncode}\n{_normalize(proc.stdout)}"
-    files = [str(work / f"trial_{name}.json") for name in _trial_specs()]
-    proc = subprocess.run([sys.executable, "-c", _HASHES, *files], env=env, cwd=work, capture_output=True, text=True)
-    out["spec_hash"] = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
+    scripts = {
+        "spec_hash": (_HASHES, [work / f"trial_{name}.json" for name in _trial_specs()]),
+        f"sweep {', '.join(SHAPE_ORDER)} in one process": (_SHAPES, [work / f"sweep_{n}.json" for n in SHAPE_ORDER]),
+    }
+    for name, (code, paths) in scripts.items():
+        cmd = [sys.executable, "-c", code, *map(str, paths)]
+        proc = subprocess.run(cmd, env=env, cwd=work, capture_output=True, text=True)
+        out[name] = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
     return out
 
 
